@@ -53,7 +53,7 @@ for f in docs/*.md; do
 done
 
 echo "== atmo-fuzz -diff smoke"
-go run ./cmd/atmo-fuzz -diff -seeds 4 -steps 2000
+go run ./cmd/atmo-fuzz -diff -seeds 16 -steps 2000
 
 echo "== atmo-trace smoke"
 smoke_dir=$(mktemp -d /tmp/atmo-ci-smoke.XXXXXX)

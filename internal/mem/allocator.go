@@ -466,6 +466,22 @@ func (a *Allocator) CacheToFree(p hw.PhysAddr) error {
 	return nil
 }
 
+// UnlinkFreeForTest takes free page p off its free list but leaves its
+// metadata saying free, planting the list/metadata disagreement that
+// verify.MemoryWF's free-list check must catch. Test harnesses only.
+func (a *Allocator) UnlinkFreeForTest(p hw.PhysAddr) error {
+	i, err := a.idx(p)
+	if err != nil {
+		return err
+	}
+	pg := &a.pages[i]
+	if pg.State != StateFree {
+		return fmt.Errorf("%w: unlink of %v page %#x", ErrWrongState, pg.State, p)
+	}
+	a.unlinkFree(pg.Size, i)
+	return nil
+}
+
 // --- superpage merge / split ------------------------------------------------
 
 // Merge2M scans the page array for a naturally aligned run of 512 free
@@ -561,39 +577,39 @@ type Snapshot struct {
 	PCache PageSet
 }
 
-// Snapshot captures the allocator's abstract state.
+// Snapshot captures the allocator's abstract state. Every set is rebuilt
+// from the page metadata array on every call; the verifier relies on
+// that to check the allocator against a view it did not maintain.
 func (a *Allocator) Snapshot() Snapshot {
-	s := Snapshot{
-		Free4K: NewPageSet(), Free2M: NewPageSet(), Free1G: NewPageSet(),
-		Allocated: NewPageSet(), Mapped: NewPageSet(), Merged: NewPageSet(),
-		Boot: NewPageSet(), PCache: NewPageSet(),
-	}
+	var s Snapshot
+	newSizedPageSets(len(a.pages), &s.Free4K, &s.Free2M, &s.Free1G,
+		&s.Allocated, &s.Mapped, &s.Merged, &s.Boot, &s.PCache)
 	for i := range a.pages {
-		p := a.mem.FrameAddr(i)
+		f := uint64(i)
 		pg := &a.pages[i]
 		switch pg.State {
 		case StateFree:
 			switch pg.Size {
 			case Size4K:
-				s.Free4K.Insert(p)
+				s.Free4K.insertFrame(f)
 			case Size2M:
-				s.Free2M.Insert(p)
+				s.Free2M.insertFrame(f)
 			case Size1G:
-				s.Free1G.Insert(p)
+				s.Free1G.insertFrame(f)
 			}
 		case StateAllocated:
 			if pg.Owner == OwnerBoot {
-				s.Boot.Insert(p)
+				s.Boot.insertFrame(f)
 			} else {
-				s.Allocated.Insert(p)
+				s.Allocated.insertFrame(f)
 				if pg.Owner == OwnerPCache {
-					s.PCache.Insert(p)
+					s.PCache.insertFrame(f)
 				}
 			}
 		case StateMapped:
-			s.Mapped.Insert(p)
+			s.Mapped.insertFrame(f)
 		case StateMerged:
-			s.Merged.Insert(p)
+			s.Merged.insertFrame(f)
 		}
 	}
 	return s
@@ -602,24 +618,27 @@ func (a *Allocator) Snapshot() Snapshot {
 // AllocatedTo returns the set of pages allocated to owner — the raw
 // material of per-subsystem page_closure() checks.
 func (a *Allocator) AllocatedTo(owner Owner) PageSet {
-	s := NewPageSet()
+	var s PageSet
+	newSizedPageSets(len(a.pages), &s)
 	for i := range a.pages {
 		if a.pages[i].State == StateAllocated && a.pages[i].Owner == owner {
-			s.Insert(a.mem.FrameAddr(i))
+			s.insertFrame(uint64(i))
 		}
 	}
 	return s
 }
 
-// WalkFreeList returns the frame addresses on the free list of sc in list
-// order, for invariant checks that the list and the metadata agree.
-func (a *Allocator) WalkFreeList(sc SizeClass) []hw.PhysAddr {
-	var out []hw.PhysAddr
+// FreeListSet walks the free list of sc into a set, for invariant checks
+// that the list and the metadata agree. A cycle in the list panics.
+func (a *Allocator) FreeListSet(sc SizeClass) PageSet {
+	var s PageSet
+	newSizedPageSets(len(a.pages), &s)
+	steps := 0
 	for i := a.head[sc]; i != nilIdx; i = a.pages[i].Next {
-		out = append(out, a.mem.FrameAddr(int(i)))
-		if len(out) > len(a.pages) {
+		s.insertFrame(uint64(i))
+		if steps++; steps > len(a.pages) {
 			panic("mem: free list cycle")
 		}
 	}
-	return out
+	return s
 }

@@ -328,11 +328,11 @@ func checkPartition(t *testing.T, a *Allocator) {
 			}
 		}
 	}
-	list4k := NewPageSet(a.WalkFreeList(Size4K)...)
+	list4k := a.FreeListSet(Size4K)
 	if !list4k.Equal(s.Free4K) {
 		t.Fatalf("4K free list (%d) disagrees with metadata (%d)", list4k.Len(), s.Free4K.Len())
 	}
-	list2m := NewPageSet(a.WalkFreeList(Size2M)...)
+	list2m := a.FreeListSet(Size2M)
 	if !list2m.Equal(s.Free2M) {
 		t.Fatal("2M free list disagrees with metadata")
 	}
@@ -340,7 +340,7 @@ func checkPartition(t *testing.T, a *Allocator) {
 
 func TestFreeListWalkMatchesCount(t *testing.T) {
 	a := newTestAlloc(64)
-	if got := len(a.WalkFreeList(Size4K)); got != a.FreeCount4K() {
+	if got := a.FreeListSet(Size4K).Len(); got != a.FreeCount4K() {
 		t.Fatalf("walk %d != count %d", got, a.FreeCount4K())
 	}
 }

@@ -13,7 +13,8 @@
 package mem
 
 import (
-	"sort"
+	"fmt"
+	"math/bits"
 
 	"atmosphere/internal/hw"
 )
@@ -22,57 +23,147 @@ import (
 // paper's page_closure() reasoning: each subsystem reports the set of
 // pages it owns, and the verifier checks pairwise disjointness and that
 // the union of all closures plus the free set covers physical memory.
-type PageSet map[hw.PhysAddr]struct{}
+//
+// The representation is a dense bitset indexed by frame number
+// (addr >> 12) with a cached cardinality — the Go counterpart of the
+// paper's flat, frame-indexed permission maps. Set algebra is word-wise
+// and iteration is ascending. A PageSet value is a reference, like a
+// map: copies alias the same set. The zero value is an empty set that
+// may be read but not written (as a nil map).
+type PageSet struct{ b *pageBits }
+
+type pageBits struct {
+	words []uint64
+	n     int // cardinality
+}
 
 // NewPageSet returns a set containing the given pages.
 func NewPageSet(pages ...hw.PhysAddr) PageSet {
-	s := make(PageSet, len(pages))
+	s := PageSet{&pageBits{}}
 	for _, p := range pages {
-		s[p] = struct{}{}
+		s.Insert(p)
 	}
 	return s
 }
 
-// Insert adds p to the set.
-func (s PageSet) Insert(p hw.PhysAddr) { s[p] = struct{}{} }
+// newSizedPageSets points each of sets at a fresh empty set with room
+// for frames frames. All of them share one backing array, each capped to
+// its own slice, so growing one can never write into another.
+func newSizedPageSets(frames int, sets ...*PageSet) {
+	nw := (frames + 63) / 64
+	words := make([]uint64, nw*len(sets))
+	pbs := make([]pageBits, len(sets))
+	for i, s := range sets {
+		pbs[i].words = words[i*nw : (i+1)*nw : (i+1)*nw]
+		*s = PageSet{&pbs[i]}
+	}
+}
+
+// frameOf returns the frame number of page address p, or false if p is
+// not 4 KiB aligned.
+func frameOf(p hw.PhysAddr) (uint64, bool) {
+	return uint64(p) / hw.PageSize4K, uint64(p)%hw.PageSize4K == 0
+}
+
+// Insert adds p to the set. p must be 4 KiB aligned.
+func (s PageSet) Insert(p hw.PhysAddr) {
+	f, ok := frameOf(p)
+	if !ok {
+		panic(fmt.Sprintf("mem: PageSet.Insert of unaligned address %#x", uint64(p)))
+	}
+	s.insertFrame(f)
+}
+
+// insertFrame adds frame number f to the set.
+func (s PageSet) insertFrame(f uint64) {
+	b := s.b
+	w := int(f / 64)
+	if w >= len(b.words) {
+		b.grow(w + 1)
+	}
+	bit := uint64(1) << (f % 64)
+	if b.words[w]&bit == 0 {
+		b.words[w] |= bit
+		b.n++
+	}
+}
+
+// grow extends the bitset to at least nw words.
+func (b *pageBits) grow(nw int) {
+	if nw <= cap(b.words) {
+		b.words = b.words[:nw] // never shrunk, so the tail is still zero
+		return
+	}
+	words := make([]uint64, nw, max(nw, 2*cap(b.words)))
+	copy(words, b.words)
+	b.words = words
+}
 
 // Remove deletes p from the set.
-func (s PageSet) Remove(p hw.PhysAddr) { delete(s, p) }
+func (s PageSet) Remove(p hw.PhysAddr) {
+	f, ok := frameOf(p)
+	if !ok || s.b == nil || f/64 >= uint64(len(s.b.words)) {
+		return
+	}
+	bit := uint64(1) << (f % 64)
+	if s.b.words[f/64]&bit != 0 {
+		s.b.words[f/64] &^= bit
+		s.b.n--
+	}
+}
 
 // Contains reports membership.
 func (s PageSet) Contains(p hw.PhysAddr) bool {
-	_, ok := s[p]
-	return ok
+	f, ok := frameOf(p)
+	w := s.words()
+	return ok && f/64 < uint64(len(w)) && w[f/64]&(1<<(f%64)) != 0
+}
+
+// words returns the bitset words (nil for the zero value).
+func (s PageSet) words() []uint64 {
+	if s.b == nil {
+		return nil
+	}
+	return s.b.words
 }
 
 // Len returns the cardinality.
-func (s PageSet) Len() int { return len(s) }
+func (s PageSet) Len() int {
+	if s.b == nil {
+		return 0
+	}
+	return s.b.n
+}
 
 // Clone returns a copy of the set.
 func (s PageSet) Clone() PageSet {
-	out := make(PageSet, len(s))
-	for p := range s {
-		out[p] = struct{}{}
-	}
-	return out
+	return PageSet{&pageBits{words: append([]uint64(nil), s.words()...), n: s.Len()}}
 }
 
 // Union adds every element of other to s and returns s.
 func (s PageSet) Union(other PageSet) PageSet {
-	for p := range other {
-		s[p] = struct{}{}
+	ow := other.words()
+	if len(ow) > len(s.b.words) {
+		s.b.grow(len(ow))
+	}
+	sw := s.b.words
+	for i, w := range ow {
+		if add := w &^ sw[i]; add != 0 {
+			sw[i] |= add
+			s.b.n += bits.OnesCount64(add)
+		}
 	}
 	return s
 }
 
 // Disjoint reports whether s and other share no element.
 func (s PageSet) Disjoint(other PageSet) bool {
-	small, large := s, other
-	if len(large) < len(small) {
-		small, large = large, small
+	sw, ow := s.words(), other.words()
+	if len(ow) < len(sw) {
+		sw = sw[:len(ow)]
 	}
-	for p := range small {
-		if large.Contains(p) {
+	for i, w := range sw {
+		if w&ow[i] != 0 {
 			return false
 		}
 	}
@@ -81,37 +172,42 @@ func (s PageSet) Disjoint(other PageSet) bool {
 
 // Equal reports whether s and other contain exactly the same pages.
 func (s PageSet) Equal(other PageSet) bool {
-	if len(s) != len(other) {
+	return s.Len() == other.Len() && s.Subset(other)
+}
+
+// Subset reports whether every element of s is in other.
+func (s PageSet) Subset(other PageSet) bool {
+	if s.Len() > other.Len() {
 		return false
 	}
-	for p := range s {
-		if !other.Contains(p) {
+	ow := other.words()
+	for i, w := range s.words() {
+		if i < len(ow) {
+			w &^= ow[i]
+		}
+		if w != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// Subset reports whether every element of s is in other.
-func (s PageSet) Subset(other PageSet) bool {
-	if len(s) > len(other) {
-		return false
-	}
-	for p := range s {
-		if !other.Contains(p) {
-			return false
+// Each calls fn for every element in ascending order. fn must not
+// modify the set.
+func (s PageSet) Each(fn func(hw.PhysAddr)) {
+	for i, w := range s.words() {
+		for w != 0 {
+			f := uint64(i)*64 + uint64(bits.TrailingZeros64(w))
+			fn(hw.PhysAddr(f * hw.PageSize4K))
+			w &= w - 1
 		}
 	}
-	return true
 }
 
 // Sorted returns the elements in ascending order (for deterministic
 // iteration and error messages).
 func (s PageSet) Sorted() []hw.PhysAddr {
-	out := make([]hw.PhysAddr, 0, len(s))
-	for p := range s {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]hw.PhysAddr, 0, s.Len())
+	s.Each(func(p hw.PhysAddr) { out = append(out, p) })
 	return out
 }

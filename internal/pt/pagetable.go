@@ -162,6 +162,16 @@ func (t *PageTable) MappedCount() int {
 // table nodes. A page table owns no other objects (§4.2).
 func (t *PageTable) PageClosure() mem.PageSet { return t.nodes.Clone() }
 
+// NodeCount returns the number of table-node pages, PageClosure().Len()
+// without the copy.
+func (t *PageTable) NodeCount() int { return t.nodes.Len() }
+
+// ClaimNodeForTest adds page p, a node of another table, to this table's
+// flat node set, planting two page tables whose closures overlap for
+// verify.MemoryWF's pairwise-disjointness check to catch. Test harnesses
+// only.
+func (t *PageTable) ClaimNodeForTest(p hw.PhysAddr) { t.nodes.Insert(p) }
+
 // MappedFrames returns the set of physical pages currently mapped, for
 // isolation checks.
 func (t *PageTable) MappedFrames() mem.PageSet {

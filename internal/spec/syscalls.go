@@ -239,9 +239,7 @@ func mmapFailFrame(old, new State, tid Ptr) error {
 // subsystems — the allocated set minus the per-core page-cache frames.
 func allocatedSansCache(st State) mem.PageSet {
 	s := st.Mem.Allocated.Clone()
-	for p := range st.Mem.PCache {
-		s.Remove(p)
-	}
+	st.Mem.PCache.Each(s.Remove)
 	return s
 }
 

@@ -1,10 +1,13 @@
 package verify
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
+	"atmosphere/internal/mem"
 	"atmosphere/internal/pm"
 	"atmosphere/internal/pt"
 )
@@ -482,5 +485,69 @@ func TestMutationSchedulerLostThreadCaught(t *testing.T) {
 	th.IPC.WaitingOn = 0
 	if err := SchedulerWF(c.K); err == nil {
 		t.Fatal("lost runnable thread not caught")
+	}
+}
+
+// Planted-bug tests for MemoryWF. Each first confirms the unplanted
+// state passes, then plants one bug and pins the error it must raise.
+
+func TestMutationRefCountNamesLowestPage(t *testing.T) {
+	c, init := newChecker(t)
+	musts(t)(c.Mmap(0, init, 0x600000, 2, hw.Size4K, pt.RW))
+	if err := MemoryWF(c.K); err != nil {
+		t.Fatalf("unplanted state: %v", err)
+	}
+	proc := c.K.PM.Proc(c.K.PM.Thrd(init).OwningProc)
+	lo := hw.PhysAddr(^uint64(0))
+	for _, va := range []hw.VirtAddr{0x600000, 0x601000} {
+		e, ok := proc.PageTable.Lookup(va)
+		if !ok {
+			t.Fatalf("%#x not mapped", va)
+		}
+		// A reference nobody holds: refcount 2, one mapping.
+		if err := c.K.Alloc.IncRef(e.Phys); err != nil {
+			t.Fatal(err)
+		}
+		lo = min(lo, e.Phys)
+	}
+	want := fmt.Sprintf("mapped page %#x refcount 2, references 1", lo)
+	for run := 0; run < 2; run++ {
+		err := MemoryWF(c.K)
+		if err == nil {
+			t.Fatal("corrupted refcounts not caught")
+		}
+		if err.Error() != want {
+			t.Fatalf("run %d: got %q, want %q", run, err, want)
+		}
+	}
+}
+
+func TestMutationFreeListCaught(t *testing.T) {
+	c, _ := newChecker(t)
+	if err := MemoryWF(c.K); err != nil {
+		t.Fatalf("unplanted state: %v", err)
+	}
+	free := c.K.Alloc.FreeListSet(mem.Size4K).Sorted()
+	if err := c.K.Alloc.UnlinkFreeForTest(free[len(free)/2]); err != nil {
+		t.Fatal(err)
+	}
+	err := MemoryWF(c.K)
+	if err == nil || err.Error() != "4K free list disagrees with page states" {
+		t.Fatalf("free list missing a free page: got %v", err)
+	}
+}
+
+func TestMutationPageTableClosureOverlapCaught(t *testing.T) {
+	c, init := newChecker(t)
+	r := musts(t)(c.NewProcess(0, init))
+	child := c.K.PM.Proc(pm.Ptr(r.Vals[0]))
+	if err := MemoryWF(c.K); err != nil {
+		t.Fatalf("unplanted state: %v", err)
+	}
+	parent := c.K.PM.Proc(c.K.PM.Thrd(init).OwningProc)
+	child.PageTable.ClaimNodeForTest(parent.PageTable.CR3())
+	err := MemoryWF(c.K)
+	if err == nil || !strings.Contains(err.Error(), "overlaps another") {
+		t.Fatalf("shared page-table node: got %v", err)
 	}
 }
