@@ -23,6 +23,9 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
+echo "== layer benchmarks (one iteration each, so they cannot rot)"
+go test -run '^$' -bench . -benchtime 1x ./internal/mem ./internal/pt ./internal/spec ./internal/verify
+
 echo "== go test -race (kernel/obs+contend/drivers/mem/pm/verify/cluster/shmring shard)"
 # ./internal/obs/... includes the contention observatory
 # (internal/obs/contend) and the distributed tracer (internal/obs/dist).

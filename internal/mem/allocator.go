@@ -8,6 +8,19 @@
 // PageObserver — the accounting ledger's live feed — so ownership can be
 // mirrored without scanning.
 //
+// The allocator exposes its state explicitly because the paper's
+// leak-freedom and non-interference arguments need exact knowledge of
+// all memory ("Explicit memory allocator state", §4.2); internal/verify
+// checks the sets against the page_closure() of every subsystem after
+// every kernel transition. The metadata array is stored split by field:
+// each frame's State, Size and Owner are packed into one byte of a dense
+// frame-indexed array, the only copy of those fields, and the refcount,
+// superpage head and free-list links stay in a per-frame record.
+// Snapshot, SnapshotClosures and AllocatedTo share one fused pass over
+// the packed bytes that builds every requested set at once. They
+// rebuild from the metadata on every call; no incrementally maintained
+// view exists for the verifier to trust.
+//
 // CoreCaches (percore.go) adds per-core page-frame caches over one
 // shared Allocator: the multicore fast path that takes the hot 4 KiB
 // user-page allocation out from under the kernel big lock. Cached
@@ -81,7 +94,11 @@ type PageObserver func(op PageOp, p hw.PhysAddr, sc SizeClass)
 type Allocator struct {
 	mem   *hw.PhysMem
 	clock *hw.Clock
-	pages []PageMeta
+	// kinds and links are the page metadata array, split by field:
+	// kinds[i] holds frame i's State, Size and Owner (written only by
+	// setKind), links[i] the rest. Meta reassembles one PageMeta.
+	kinds []pageKind
+	links []pageLinks
 	// free list heads per size class, frame indices.
 	head [3]int32
 	// counts per size class for O(1) stats.
@@ -119,18 +136,18 @@ func NewAllocator(mem *hw.PhysMem, clock *hw.Clock, reservedFrames int) *Allocat
 	a := &Allocator{
 		mem:      mem,
 		clock:    clock,
-		pages:    make([]PageMeta, mem.Frames()),
+		kinds:    make([]pageKind, mem.Frames()),
+		links:    make([]pageLinks, mem.Frames()),
 		head:     [3]int32{nilIdx, nilIdx, nilIdx},
 		reserved: reservedFrames,
 	}
-	for i := range a.pages {
-		a.pages[i] = PageMeta{State: StateAllocated, Owner: OwnerBoot, Size: Size4K, Head: nilIdx, Prev: nilIdx, Next: nilIdx}
+	for i := range a.links {
+		a.setKind(int32(i), StateAllocated, Size4K, OwnerBoot)
+		a.links[i] = pageLinks{Head: nilIdx, Prev: nilIdx, Next: nilIdx}
 	}
 	// Free everything above the reservation, highest first so the free
 	// list pops low addresses first (deterministic, cache-friendly).
 	for i := mem.Frames() - 1; i >= reservedFrames; i-- {
-		a.pages[i].State = StateFree
-		a.pages[i].Owner = OwnerNone
 		a.pushFree(Size4K, int32(i))
 	}
 	return a
@@ -164,7 +181,7 @@ func (a *Allocator) injectFail() bool {
 }
 
 // Frames returns the number of managed frames.
-func (a *Allocator) Frames() int { return len(a.pages) }
+func (a *Allocator) Frames() int { return len(a.kinds) }
 
 // FreeCount4K returns the number of free 4 KiB pages.
 func (a *Allocator) FreeCount4K() int { return a.freeCount[Size4K] }
@@ -189,18 +206,27 @@ func (a *Allocator) Meta(p hw.PhysAddr) (PageMeta, error) {
 	if err != nil {
 		return PageMeta{}, err
 	}
-	return a.pages[i], nil
+	k, l := a.kinds[i], a.links[i]
+	return PageMeta{State: k.state(), Size: k.size(), Owner: k.owner(),
+		RefCount: l.RefCount, Head: l.Head, Prev: l.Prev, Next: l.Next}, nil
+}
+
+// setKind is the one writer of page i's State, Size and Owner.
+func (a *Allocator) setKind(i int32, st PageState, sc SizeClass, o Owner) {
+	a.kinds[i] = makeKind(st, sc, o)
 }
 
 // --- intrusive free lists -------------------------------------------------
 
+// pushFree marks page i free in size class sc (owner none) and pushes it
+// onto that class's free list.
 func (a *Allocator) pushFree(sc SizeClass, i int32) {
-	pg := &a.pages[i]
-	pg.Size = sc
+	a.setKind(i, StateFree, sc, OwnerNone)
+	pg := &a.links[i]
 	pg.Prev = nilIdx
 	pg.Next = a.head[sc]
 	if a.head[sc] != nilIdx {
-		a.pages[a.head[sc]].Prev = i
+		a.links[a.head[sc]].Prev = i
 	}
 	a.head[sc] = i
 	a.freeCount[sc]++
@@ -210,14 +236,14 @@ func (a *Allocator) pushFree(sc SizeClass, i int32) {
 // back pointer stored in the metadata array — the optimization the paper
 // calls out for superpage merging.
 func (a *Allocator) unlinkFree(sc SizeClass, i int32) {
-	pg := &a.pages[i]
+	pg := &a.links[i]
 	if pg.Prev != nilIdx {
-		a.pages[pg.Prev].Next = pg.Next
+		a.links[pg.Prev].Next = pg.Next
 	} else {
 		a.head[sc] = pg.Next
 	}
 	if pg.Next != nilIdx {
-		a.pages[pg.Next].Prev = pg.Prev
+		a.links[pg.Next].Prev = pg.Prev
 	}
 	pg.Prev, pg.Next = nilIdx, nilIdx
 	a.freeCount[sc]--
@@ -250,8 +276,7 @@ func (a *Allocator) AllocPage4K(owner Owner) (hw.PhysAddr, error) {
 	a.clock.Charge(hw.CostAllocFast + 2*hw.CostCacheMiss + hw.CostPageZero)
 	p := a.mem.FrameAddr(int(i))
 	a.mem.ZeroPage(p)
-	a.pages[i].State = StateAllocated
-	a.pages[i].Owner = owner
+	a.setKind(i, StateAllocated, Size4K, owner)
 	a.observe(OpAllocObj, p, Size4K)
 	return p, nil
 }
@@ -269,9 +294,8 @@ func (a *Allocator) AllocUserPage4K() (hw.PhysAddr, error) {
 	a.clock.Charge(hw.CostAllocFast + 2*hw.CostCacheMiss + hw.CostPageZero)
 	p := a.mem.FrameAddr(int(i))
 	a.mem.ZeroPage(p)
-	a.pages[i].State = StateMapped
-	a.pages[i].Owner = OwnerUser
-	a.pages[i].RefCount = 1
+	a.setKind(i, StateMapped, Size4K, OwnerUser)
+	a.links[i].RefCount = 1
 	a.observe(OpAllocUser, p, Size4K)
 	return p, nil
 }
@@ -292,9 +316,8 @@ func (a *Allocator) AllocUserPage(sc SizeClass) (hw.PhysAddr, error) {
 	frames := int32(sc.Bytes() / hw.PageSize4K)
 	a.clock.Charge(hw.CostAllocFast + uint64(frames)*hw.CostPageZero/8)
 	p := a.mem.FrameAddr(int(i))
-	a.pages[i].State = StateMapped
-	a.pages[i].Owner = OwnerUser
-	a.pages[i].RefCount = 1
+	a.setKind(i, StateMapped, sc, OwnerUser)
+	a.links[i].RefCount = 1
 	a.observe(OpAllocUser, p, sc)
 	return p, nil
 }
@@ -305,13 +328,13 @@ func (a *Allocator) IncRef(p hw.PhysAddr) error {
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
-	if pg.State != StateMapped {
-		return fmt.Errorf("%w: incref of %v page %#x", ErrWrongState, pg.State, p)
+	k := a.kinds[i]
+	if k.state() != StateMapped {
+		return fmt.Errorf("%w: incref of %v page %#x", ErrWrongState, k.state(), p)
 	}
 	a.clock.Charge(hw.CostCacheTouch)
-	pg.RefCount++
-	a.observe(OpIncRef, p, pg.Size)
+	a.links[i].RefCount++
+	a.observe(OpIncRef, p, k.size())
 	return nil
 }
 
@@ -321,7 +344,7 @@ func (a *Allocator) RefCount(p hw.PhysAddr) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return a.pages[i].RefCount, nil
+	return a.links[i].RefCount, nil
 }
 
 // DecRef drops one mapping reference; on the last reference the page
@@ -332,19 +355,17 @@ func (a *Allocator) DecRef(p hw.PhysAddr) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	pg := &a.pages[i]
-	if pg.State != StateMapped || pg.RefCount == 0 {
-		return false, fmt.Errorf("%w: decref of %v page %#x (ref %d)", ErrWrongState, pg.State, p, pg.RefCount)
+	k, pg := a.kinds[i], &a.links[i]
+	if k.state() != StateMapped || pg.RefCount == 0 {
+		return false, fmt.Errorf("%w: decref of %v page %#x (ref %d)", ErrWrongState, k.state(), p, pg.RefCount)
 	}
 	a.clock.Charge(hw.CostCacheTouch)
 	pg.RefCount--
+	sc := k.size()
 	if pg.RefCount > 0 {
-		a.observe(OpDecRef, p, pg.Size)
+		a.observe(OpDecRef, p, sc)
 		return false, nil
 	}
-	sc := pg.Size
-	pg.State = StateFree
-	pg.Owner = OwnerNone
 	a.pushFree(sc, i)
 	a.observe(OpFreeUser, p, sc)
 	return true, nil
@@ -359,17 +380,15 @@ func (a *Allocator) FreePage(p hw.PhysAddr) error {
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
-	if pg.State != StateAllocated {
-		return fmt.Errorf("%w: free of %v page %#x", ErrWrongState, pg.State, p)
+	k := a.kinds[i]
+	if k.state() != StateAllocated {
+		return fmt.Errorf("%w: free of %v page %#x", ErrWrongState, k.state(), p)
 	}
-	if pg.Owner == OwnerBoot && int(i) < a.reserved {
+	if k.owner() == OwnerBoot && int(i) < a.reserved {
 		return fmt.Errorf("%w: cannot free boot-reserved page %#x", ErrWrongState, p)
 	}
 	a.clock.Charge(hw.CostAllocFast)
-	sc := pg.Size
-	pg.State = StateFree
-	pg.Owner = OwnerNone
+	sc := k.size()
 	a.pushFree(sc, i)
 	a.observe(OpFreeObj, p, sc)
 	return nil
@@ -397,8 +416,7 @@ func (a *Allocator) MoveFreeToCache() (hw.PhysAddr, error) {
 	// Fast-path pop plus one cold metadata line; no zero yet.
 	a.clock.Charge(hw.CostAllocFast + hw.CostCacheMiss)
 	p := a.mem.FrameAddr(int(i))
-	a.pages[i].State = StateAllocated
-	a.pages[i].Owner = OwnerPCache
+	a.setKind(i, StateAllocated, Size4K, OwnerPCache)
 	a.observe(OpCacheFill, p, Size4K)
 	return p, nil
 }
@@ -412,15 +430,14 @@ func (a *Allocator) CacheToUser(p hw.PhysAddr) error {
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
-	if pg.State != StateAllocated || pg.Owner != OwnerPCache {
-		return fmt.Errorf("%w: cache hand-out of %v/%v page %#x", ErrWrongState, pg.State, pg.Owner, p)
+	k := a.kinds[i]
+	if k.state() != StateAllocated || k.owner() != OwnerPCache {
+		return fmt.Errorf("%w: cache hand-out of %v/%v page %#x", ErrWrongState, k.state(), k.owner(), p)
 	}
 	a.clock.Charge(hw.CostAllocFast + hw.CostPageZero)
 	a.mem.ZeroPage(p)
-	pg.State = StateMapped
-	pg.Owner = OwnerUser
-	pg.RefCount = 1
+	a.setKind(i, StateMapped, k.size(), OwnerUser)
+	a.links[i].RefCount = 1
 	a.observe(OpCacheAlloc, p, Size4K)
 	return nil
 }
@@ -434,15 +451,14 @@ func (a *Allocator) UserToCache(p hw.PhysAddr) error {
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
-	if pg.State != StateMapped || pg.RefCount != 1 || pg.Size != Size4K {
+	k, pg := a.kinds[i], &a.links[i]
+	if k.state() != StateMapped || pg.RefCount != 1 || k.size() != Size4K {
 		return fmt.Errorf("%w: cache take-back of %v page %#x (ref %d, %v)",
-			ErrWrongState, pg.State, p, pg.RefCount, pg.Size)
+			ErrWrongState, k.state(), p, pg.RefCount, k.size())
 	}
 	a.clock.Charge(hw.CostCacheTouch)
 	pg.RefCount = 0
-	pg.State = StateAllocated
-	pg.Owner = OwnerPCache
+	a.setKind(i, StateAllocated, Size4K, OwnerPCache)
 	a.observe(OpCacheFree, p, Size4K)
 	return nil
 }
@@ -454,13 +470,11 @@ func (a *Allocator) CacheToFree(p hw.PhysAddr) error {
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
-	if pg.State != StateAllocated || pg.Owner != OwnerPCache {
-		return fmt.Errorf("%w: cache drain of %v/%v page %#x", ErrWrongState, pg.State, pg.Owner, p)
+	k := a.kinds[i]
+	if k.state() != StateAllocated || k.owner() != OwnerPCache {
+		return fmt.Errorf("%w: cache drain of %v/%v page %#x", ErrWrongState, k.state(), k.owner(), p)
 	}
 	a.clock.Charge(hw.CostAllocFast)
-	pg.State = StateFree
-	pg.Owner = OwnerNone
 	a.pushFree(Size4K, i)
 	a.observe(OpCacheDrain, p, Size4K)
 	return nil
@@ -474,11 +488,27 @@ func (a *Allocator) UnlinkFreeForTest(p hw.PhysAddr) error {
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
-	if pg.State != StateFree {
-		return fmt.Errorf("%w: unlink of %v page %#x", ErrWrongState, pg.State, p)
+	k := a.kinds[i]
+	if k.state() != StateFree {
+		return fmt.Errorf("%w: unlink of %v page %#x", ErrWrongState, k.state(), p)
 	}
-	a.unlinkFree(pg.Size, i)
+	a.unlinkFree(k.size(), i)
+	return nil
+}
+
+// CycleFreeListForTest points free page p's Next link back at the head
+// of its free list, planting the cycle verify.MemoryWF's free-list walk
+// must report instead of looping. Test harnesses only.
+func (a *Allocator) CycleFreeListForTest(p hw.PhysAddr) error {
+	i, err := a.idx(p)
+	if err != nil {
+		return err
+	}
+	k := a.kinds[i]
+	if k.state() != StateFree {
+		return fmt.Errorf("%w: cycle at %v page %#x", ErrWrongState, k.state(), p)
+	}
+	a.links[i].Next = a.head[k.size()]
 	return nil
 }
 
@@ -500,12 +530,11 @@ func (a *Allocator) Merge1G() (hw.PhysAddr, error) {
 }
 
 func (a *Allocator) merge(sc SizeClass, frames int) (hw.PhysAddr, error) {
-	n := len(a.pages)
+	n := len(a.kinds)
 	for start := 0; start+frames <= n; start += frames {
 		ok := true
 		for i := start; i < start+frames; i++ {
-			pg := &a.pages[i]
-			if pg.State != StateFree || pg.Size != Size4K {
+			if k := a.kinds[i]; k.state() != StateFree || k.size() != Size4K {
 				ok = false
 				break
 			}
@@ -520,12 +549,10 @@ func (a *Allocator) merge(sc SizeClass, frames int) (hw.PhysAddr, error) {
 		}
 		head := int32(start)
 		for i := start + 1; i < start+frames; i++ {
-			a.pages[i].State = StateMerged
-			a.pages[i].Head = head
-			a.pages[i].Size = sc
+			a.setKind(int32(i), StateMerged, sc, OwnerNone)
+			a.links[i].Head = head
 		}
-		a.pages[head].State = StateFree
-		a.pages[head].Head = nilIdx
+		a.links[head].Head = nilIdx
 		a.pushFree(sc, head)
 		return a.mem.FrameAddr(start), nil
 	}
@@ -539,106 +566,17 @@ func (a *Allocator) Split(p hw.PhysAddr) error {
 	if err != nil {
 		return err
 	}
-	pg := &a.pages[i]
-	if pg.State != StateFree || pg.Size == Size4K {
-		return fmt.Errorf("%w: split of %v/%v page %#x", ErrWrongState, pg.State, pg.Size, p)
+	k := a.kinds[i]
+	if k.state() != StateFree || k.size() == Size4K {
+		return fmt.Errorf("%w: split of %v/%v page %#x", ErrWrongState, k.state(), k.size(), p)
 	}
-	sc := pg.Size
+	sc := k.size()
 	frames := int(sc.Bytes() / hw.PageSize4K)
 	a.unlinkFree(sc, i)
 	for j := int(i); j < int(i)+frames; j++ {
-		a.pages[j].State = StateFree
-		a.pages[j].Size = Size4K
-		a.pages[j].Head = nilIdx
-		a.pages[j].Owner = OwnerNone
+		a.links[j].Head = nilIdx
 		a.pushFree(Size4K, int32(j))
 		a.clock.Charge(hw.CostCacheTouch)
 	}
 	return nil
-}
-
-// --- explicit allocator state (ghost view) ----------------------------------
-
-// Snapshot is the abstract state of the allocator: the page sets the
-// paper's specifications quantify over. Building it is O(frames); the
-// kernel exposes it to the verifier, never to hot paths.
-type Snapshot struct {
-	Free4K    PageSet
-	Free2M    PageSet
-	Free1G    PageSet
-	Allocated PageSet
-	Mapped    PageSet
-	Merged    PageSet
-	Boot      PageSet
-	// PCache is the subset of Allocated parked in per-core page-frame
-	// caches (OwnerPCache). Specs treat these as free at the abstract
-	// level — the cache is an implementation detail of the allocator —
-	// while the closure checks still see them as allocated.
-	PCache PageSet
-}
-
-// Snapshot captures the allocator's abstract state. Every set is rebuilt
-// from the page metadata array on every call; the verifier relies on
-// that to check the allocator against a view it did not maintain.
-func (a *Allocator) Snapshot() Snapshot {
-	var s Snapshot
-	newSizedPageSets(len(a.pages), &s.Free4K, &s.Free2M, &s.Free1G,
-		&s.Allocated, &s.Mapped, &s.Merged, &s.Boot, &s.PCache)
-	for i := range a.pages {
-		f := uint64(i)
-		pg := &a.pages[i]
-		switch pg.State {
-		case StateFree:
-			switch pg.Size {
-			case Size4K:
-				s.Free4K.insertFrame(f)
-			case Size2M:
-				s.Free2M.insertFrame(f)
-			case Size1G:
-				s.Free1G.insertFrame(f)
-			}
-		case StateAllocated:
-			if pg.Owner == OwnerBoot {
-				s.Boot.insertFrame(f)
-			} else {
-				s.Allocated.insertFrame(f)
-				if pg.Owner == OwnerPCache {
-					s.PCache.insertFrame(f)
-				}
-			}
-		case StateMapped:
-			s.Mapped.insertFrame(f)
-		case StateMerged:
-			s.Merged.insertFrame(f)
-		}
-	}
-	return s
-}
-
-// AllocatedTo returns the set of pages allocated to owner — the raw
-// material of per-subsystem page_closure() checks.
-func (a *Allocator) AllocatedTo(owner Owner) PageSet {
-	var s PageSet
-	newSizedPageSets(len(a.pages), &s)
-	for i := range a.pages {
-		if a.pages[i].State == StateAllocated && a.pages[i].Owner == owner {
-			s.insertFrame(uint64(i))
-		}
-	}
-	return s
-}
-
-// FreeListSet walks the free list of sc into a set, for invariant checks
-// that the list and the metadata agree. A cycle in the list panics.
-func (a *Allocator) FreeListSet(sc SizeClass) PageSet {
-	var s PageSet
-	newSizedPageSets(len(a.pages), &s)
-	steps := 0
-	for i := a.head[sc]; i != nilIdx; i = a.pages[i].Next {
-		s.insertFrame(uint64(i))
-		if steps++; steps > len(a.pages) {
-			panic("mem: free list cycle")
-		}
-	}
-	return s
 }

@@ -79,10 +79,13 @@ func (o Owner) String() string {
 const nilIdx = int32(-1)
 
 // PageMeta is one entry of the page metadata array — the Linux-style
-// struct-page array the paper describes. The Prev/Next links make the
-// page a node of its free list; keeping the node inside the metadata is
-// what gives the allocator constant-time removal when a scanned page is
-// merged into a superpage (§4.2).
+// struct-page array the paper describes — as Allocator.Meta returns it.
+// The allocator stores each entry in two parts: State, Size and Owner
+// packed into one pageKind byte per frame, and the rest in a pageLinks
+// record. The Prev/Next links make the page a node of its free list;
+// keeping the node inside the metadata is what gives the allocator
+// constant-time removal when a scanned page is merged into a superpage
+// (§4.2).
 type PageMeta struct {
 	State PageState
 	Size  SizeClass
@@ -93,6 +96,39 @@ type PageMeta struct {
 	Head int32
 	// Prev and Next link the page into its size class's free list while
 	// free; nilIdx otherwise.
+	Prev, Next int32
+}
+
+// pageKind is a frame's State (bits 0-1), Size (bits 2-3) and Owner
+// (bits 4-6) packed into one byte. The allocator keeps one per frame in
+// a dense array, the only copy of those three fields, so the fused scan
+// behind Snapshot reads one byte per frame.
+type pageKind uint8
+
+const (
+	kindSizeShift  = 2
+	kindOwnerShift = 4
+)
+
+// ownerMax is the largest owner the kind's three owner bits hold; every
+// Owner constant must fit.
+const (
+	ownerMax = 7
+	_        = uint8(ownerMax - OwnerPCache)
+)
+
+func makeKind(st PageState, sc SizeClass, o Owner) pageKind {
+	return pageKind(st) | pageKind(sc)<<kindSizeShift | pageKind(o)<<kindOwnerShift
+}
+
+func (k pageKind) state() PageState { return PageState(k & 3) }
+func (k pageKind) size() SizeClass  { return SizeClass(k >> kindSizeShift & 3) }
+func (k pageKind) owner() Owner     { return Owner(k >> kindOwnerShift) }
+
+// pageLinks is the part of a frame's metadata outside its pageKind.
+type pageLinks struct {
+	RefCount   uint32
+	Head       int32
 	Prev, Next int32
 }
 

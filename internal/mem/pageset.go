@@ -1,15 +1,3 @@
-// Package mem implements Atmosphere's physical page allocator (§4.2):
-// a page metadata array covering every 4 KiB frame, three doubly-linked
-// free lists (4 KiB, 2 MiB, 1 GiB) with constant-time unlink via back
-// pointers stored in the metadata array, superpage merge and split, and
-// the four-state page lifecycle (free, mapped, merged, allocated).
-//
-// The allocator exposes its internal state explicitly — the sets of free,
-// allocated, mapped, and merged pages — because the paper's leak-freedom
-// and non-interference arguments require exact knowledge of all memory in
-// the system ("Explicit memory allocator state", §4.2). internal/verify
-// checks those sets against the metadata array and against the
-// page_closure() of every subsystem after every kernel transition.
 package mem
 
 import (
@@ -115,8 +103,13 @@ func (s PageSet) Remove(p hw.PhysAddr) {
 // Contains reports membership.
 func (s PageSet) Contains(p hw.PhysAddr) bool {
 	f, ok := frameOf(p)
+	return ok && s.hasFrame(f)
+}
+
+// hasFrame reports whether frame number f is in the set.
+func (s PageSet) hasFrame(f uint64) bool {
 	w := s.words()
-	return ok && f/64 < uint64(len(w)) && w[f/64]&(1<<(f%64)) != 0
+	return f/64 < uint64(len(w)) && w[f/64]&(1<<(f%64)) != 0
 }
 
 // words returns the bitset words (nil for the zero value).

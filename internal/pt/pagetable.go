@@ -153,6 +153,16 @@ func (t *PageTable) AddressSpace() map[hw.VirtAddr]MapEntry {
 	return out
 }
 
+// EachMapping calls fn for every entry of the three abstract maps, in
+// no particular order — AddressSpace without building the merged map.
+func (t *PageTable) EachMapping(fn func(va hw.VirtAddr, e MapEntry)) {
+	for _, g := range [...]map[hw.VirtAddr]MapEntry{t.ghost4K, t.ghost2M, t.ghost1G} {
+		for va, e := range g {
+			fn(va, e)
+		}
+	}
+}
+
 // MappedCount returns the number of abstract mappings.
 func (t *PageTable) MappedCount() int {
 	return len(t.ghost4K) + len(t.ghost2M) + len(t.ghost1G)

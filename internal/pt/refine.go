@@ -1,6 +1,7 @@
 package pt
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"atmosphere/internal/hw"
@@ -13,51 +14,78 @@ import (
 // never charge cycles — they are ghost code, the analogue of proof
 // functions erased at compile time.
 
-// Enumerate walks the concrete radix tree and returns every terminal
-// mapping it encodes, keyed by base virtual address. This is the
-// "resolve_mapping" side of the §6.2 forall, materialized.
-func (t *PageTable) Enumerate() map[hw.VirtAddr]MapEntry {
-	out := make(map[hw.VirtAddr]MapEntry)
+// nodeAt returns a live view of the 4 KiB table node at table: its 512
+// little-endian entries behind a single bounds check.
+func nodeAt(m *hw.PhysMem, table hw.PhysAddr) *[hw.PageSize4K]byte {
+	return (*[hw.PageSize4K]byte)(m.Slice(table, hw.PageSize4K))
+}
+
+// entry returns entry i of a table node.
+func entry(n *[hw.PageSize4K]byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(n[i*hw.PtrSize:])
+}
+
+// walkLeaves streams every terminal mapping the concrete radix tree
+// encodes to fn, in ascending virtual-address order, reading each table
+// node through one PhysMem.Slice. The walk stops at fn's first error
+// and returns it. This is the "resolve_mapping" side of the §6.2
+// forall.
+func (t *PageTable) walkLeaves(fn func(va hw.VirtAddr, e MapEntry) error) error {
 	m := t.alloc.Mem()
+	l4 := nodeAt(m, t.cr3)
 	for i4 := 0; i4 < hw.EntriesPerTable; i4++ {
-		e4 := m.ReadU64(slotAddr(t.cr3, i4))
+		e4 := entry(l4, i4)
 		if e4&hw.PtePresent == 0 {
 			continue
 		}
-		l3 := hw.PhysAddr(e4 & hw.PteAddrMask)
+		l3 := nodeAt(m, hw.PhysAddr(e4&hw.PteAddrMask))
 		for i3 := 0; i3 < hw.EntriesPerTable; i3++ {
-			e3 := m.ReadU64(slotAddr(l3, i3))
+			e3 := entry(l3, i3)
 			if e3&hw.PtePresent == 0 {
 				continue
 			}
 			if e3&hw.PteHuge != 0 {
-				va := hw.VAFromIndices(i4, i3, 0, 0)
-				out[va] = entryFromPte(e3, hw.Size1G)
+				if err := fn(hw.VAFromIndices(i4, i3, 0, 0), entryFromPte(e3, hw.Size1G)); err != nil {
+					return err
+				}
 				continue
 			}
-			l2 := hw.PhysAddr(e3 & hw.PteAddrMask)
+			l2 := nodeAt(m, hw.PhysAddr(e3&hw.PteAddrMask))
 			for i2 := 0; i2 < hw.EntriesPerTable; i2++ {
-				e2 := m.ReadU64(slotAddr(l2, i2))
+				e2 := entry(l2, i2)
 				if e2&hw.PtePresent == 0 {
 					continue
 				}
 				if e2&hw.PteHuge != 0 {
-					va := hw.VAFromIndices(i4, i3, i2, 0)
-					out[va] = entryFromPte(e2, hw.Size2M)
+					if err := fn(hw.VAFromIndices(i4, i3, i2, 0), entryFromPte(e2, hw.Size2M)); err != nil {
+						return err
+					}
 					continue
 				}
-				l1 := hw.PhysAddr(e2 & hw.PteAddrMask)
+				l1 := nodeAt(m, hw.PhysAddr(e2&hw.PteAddrMask))
 				for i1 := 0; i1 < hw.EntriesPerTable; i1++ {
-					e1 := m.ReadU64(slotAddr(l1, i1))
+					e1 := entry(l1, i1)
 					if e1&hw.PtePresent == 0 {
 						continue
 					}
-					va := hw.VAFromIndices(i4, i3, i2, i1)
-					out[va] = entryFromPte(e1, hw.Size4K)
+					if err := fn(hw.VAFromIndices(i4, i3, i2, i1), entryFromPte(e1, hw.Size4K)); err != nil {
+						return err
+					}
 				}
 			}
 		}
 	}
+	return nil
+}
+
+// Enumerate returns every terminal mapping of the concrete radix tree,
+// keyed by base virtual address: walkLeaves, materialized.
+func (t *PageTable) Enumerate() map[hw.VirtAddr]MapEntry {
+	out := make(map[hw.VirtAddr]MapEntry)
+	_ = t.walkLeaves(func(va hw.VirtAddr, e MapEntry) error { // never fails
+		out[va] = e
+		return nil
+	})
 	return out
 }
 
@@ -95,15 +123,13 @@ func (t *PageTable) CheckRefinement(mmu *hw.MMU) error {
 	if err := check(t.ghost1G, hw.Size1G); err != nil {
 		return err
 	}
-	// Direction 2 checks each concrete mapping against the ghost maps
-	// directly — the flat design needs no intermediate reconstruction of
-	// the address space, so this pass allocates nothing beyond the
-	// enumeration itself.
-	concrete := t.Enumerate()
-	if len(concrete) != t.MappedCount() {
-		return fmt.Errorf("pt: concrete has %d mappings, abstract %d", len(concrete), t.MappedCount())
-	}
-	for va, ce := range concrete {
+	// Direction 2 streams each concrete mapping against the ghost maps
+	// in ascending VA order — the flat design needs no intermediate
+	// reconstruction of the address space, so this pass allocates
+	// nothing.
+	concrete := 0
+	err := t.walkLeaves(func(va hw.VirtAddr, ce MapEntry) error {
+		concrete++
 		var ae MapEntry
 		var ok bool
 		switch ce.Size {
@@ -120,6 +146,13 @@ func (t *PageTable) CheckRefinement(mmu *hw.MMU) error {
 		if ae != ce {
 			return fmt.Errorf("pt: %#x concrete %+v != abstract %+v", va, ce, ae)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if concrete != t.MappedCount() {
+		return fmt.Errorf("pt: concrete has %d mappings, abstract %d", concrete, t.MappedCount())
 	}
 	return nil
 }
@@ -149,8 +182,9 @@ func (t *PageTable) CheckStructure() error {
 	}
 	var walk func(table hw.PhysAddr, level int) error
 	walk = func(table hw.PhysAddr, level int) error {
+		node := nodeAt(m, table)
 		for i := 0; i < hw.EntriesPerTable; i++ {
-			e := m.ReadU64(slotAddr(table, i))
+			e := entry(node, i)
 			if e&hw.PtePresent == 0 {
 				continue
 			}

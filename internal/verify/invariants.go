@@ -10,12 +10,14 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 
 	"atmosphere/internal/hw"
 	"atmosphere/internal/kernel"
 	"atmosphere/internal/mem"
 	"atmosphere/internal/pm"
+	"atmosphere/internal/pt"
 )
 
 // ContainerTreeWF is the flat structural invariant of the container tree
@@ -376,18 +378,27 @@ func SchedulerWF(k *kernel.Kernel) error {
 // disjointness, mapping reference-count exactness, and per-table radix
 // structure and refinement.
 func MemoryWF(k *kernel.Kernel) error {
-	snap := k.Alloc.Snapshot()
+	// One pass over the page metadata yields the page-state sets and
+	// the owner closures checked below.
+	snap, owned := k.Alloc.SnapshotClosures()
 	total := snap.Free4K.Len() + snap.Free2M.Len() + snap.Free1G.Len() +
 		snap.Allocated.Len() + snap.Mapped.Len() + snap.Merged.Len() + snap.Boot.Len()
 	if total != k.Alloc.Frames() {
 		return fmt.Errorf("page states cover %d of %d frames", total, k.Alloc.Frames())
 	}
-	// Free lists agree with the metadata.
-	if !k.Alloc.FreeListSet(mem.Size4K).Equal(snap.Free4K) {
-		return fmt.Errorf("4K free list disagrees with page states")
-	}
-	if !k.Alloc.FreeListSet(mem.Size2M).Equal(snap.Free2M) {
-		return fmt.Errorf("2M free list disagrees with page states")
+	// Free lists agree with the metadata: each list is walked against
+	// its snapshot set.
+	for _, fl := range [...]struct {
+		name string
+		sc   mem.SizeClass
+		set  mem.PageSet
+	}{{"4K", mem.Size4K, snap.Free4K}, {"2M", mem.Size2M, snap.Free2M}} {
+		switch err := k.Alloc.CheckFreeList(fl.sc, fl.set); {
+		case errors.Is(err, mem.ErrFreeListCycle):
+			return fmt.Errorf("%s free list has a cycle", fl.name)
+		case err != nil:
+			return fmt.Errorf("%s free list disagrees with page states", fl.name)
+		}
 	}
 	// Process-manager closure: exactly the object pages.
 	objPages := mem.NewPageSet()
@@ -403,7 +414,7 @@ func MemoryWF(k *kernel.Kernel) error {
 	for p := range k.PM.EdptPerms {
 		objPages.Insert(p)
 	}
-	pmOwned := k.Alloc.AllocatedTo(mem.OwnerProcessMgr)
+	pmOwned := owned.ProcessMgr
 	if !objPages.Equal(pmOwned) {
 		return fmt.Errorf("process-manager closure %d pages, allocator says %d",
 			objPages.Len(), pmOwned.Len())
@@ -418,20 +429,20 @@ func MemoryWF(k *kernel.Kernel) error {
 		}
 		ptPages.Union(cl)
 	}
-	ptOwned := k.Alloc.AllocatedTo(mem.OwnerPageTable)
+	ptOwned := owned.PageTable
 	if !ptPages.Equal(ptOwned) {
 		return fmt.Errorf("page-table closure %d pages, allocator says %d",
 			ptPages.Len(), ptOwned.Len())
 	}
 	// IOMMU closure.
-	iommuOwned := k.Alloc.AllocatedTo(mem.OwnerIOMMU)
+	iommuOwned := owned.IOMMU
 	if !k.IOMMU.PageClosure().Equal(iommuOwned) {
 		return fmt.Errorf("iommu closure disagrees with allocator")
 	}
 	// Page-cache closure: the frames the kernel believes are parked in
 	// per-core caches are exactly the allocator's OwnerPCache pages
 	// (both empty while caches are disabled).
-	pcacheOwned := k.Alloc.AllocatedTo(mem.OwnerPCache)
+	pcacheOwned := snap.PCache
 	pcacheKernel := k.PageCachePages()
 	if !pcacheKernel.Equal(pcacheOwned) {
 		return fmt.Errorf("page-cache closure %d pages, allocator says %d",
@@ -454,15 +465,12 @@ func MemoryWF(k *kernel.Kernel) error {
 	// number of address-space mappings + DMA mappings + in-flight IPC
 	// messages holding it.
 	refs := make(map[hw.PhysAddr]uint32)
+	countRef := func(_ hw.VirtAddr, e pt.MapEntry) { refs[e.Phys]++ }
 	for _, proc := range k.PM.ProcPerms {
-		for _, e := range proc.PageTable.AddressSpace() {
-			refs[e.Phys]++
-		}
+		proc.PageTable.EachMapping(countRef)
 	}
 	for _, d := range k.IOMMU.Domains() {
-		for _, e := range d.Table.AddressSpace() {
-			refs[e.Phys]++
-		}
+		d.Table.EachMapping(countRef)
 	}
 	for _, t := range k.PM.ThrdPerms {
 		if t.State == pm.ThreadBlockedSend && t.IPC.Msg.HasPage {

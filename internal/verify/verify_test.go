@@ -551,3 +551,58 @@ func TestMutationPageTableClosureOverlapCaught(t *testing.T) {
 		t.Fatalf("shared page-table node: got %v", err)
 	}
 }
+
+func TestMutationFreeListCycleCaught(t *testing.T) {
+	c, _ := newChecker(t)
+	if err := MemoryWF(c.K); err != nil {
+		t.Fatalf("unplanted state: %v", err)
+	}
+	free := c.K.Alloc.FreeListSet(mem.Size4K).Sorted()
+	if err := c.K.Alloc.CycleFreeListForTest(free[len(free)/2]); err != nil {
+		t.Fatal(err)
+	}
+	const want = "4K free list has a cycle"
+	for run := 0; run < 2; run++ {
+		err := MemoryWF(c.K)
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: got %v, want %q", run, err, want)
+		}
+	}
+}
+
+// TestMutationHiddenMappingCaught plants a present leaf entry at an
+// unmapped VA inside an existing last-level table node: a concrete
+// mapping the abstract state does not know, which only refinement
+// direction 2 can see.
+func TestMutationHiddenMappingCaught(t *testing.T) {
+	c, init := newChecker(t)
+	musts(t)(c.Mmap(0, init, 0x600000, 2, hw.Size4K, pt.RW))
+	if err := MemoryWF(c.K); err != nil {
+		t.Fatalf("unplanted state: %v", err)
+	}
+	owner := c.K.PM.Thrd(init).OwningProc
+	table := c.K.PM.Proc(owner).PageTable
+	m := table.Mem()
+	node := table.CR3()
+	const hidden = hw.VirtAddr(0x605000)
+	for _, idx := range []int{hw.L4Index(hidden), hw.L3Index(hidden), hw.L2Index(hidden)} {
+		e := m.ReadU64(node + hw.PhysAddr(idx*hw.PtrSize))
+		if e&hw.PtePresent == 0 || e&hw.PteHuge != 0 {
+			t.Fatalf("no table node on the path to %#x", hidden)
+		}
+		node = hw.PhysAddr(e & hw.PteAddrMask)
+	}
+	leaf := node + hw.PhysAddr(hw.L1Index(hidden)*hw.PtrSize)
+	if m.ReadU64(leaf)&hw.PtePresent != 0 {
+		t.Fatalf("%#x already mapped", hidden)
+	}
+	mapped, _ := table.Lookup(0x600000)
+	m.WriteU64(leaf, uint64(mapped.Phys)|hw.PtePresent|hw.PteWritable|hw.PteUser|hw.PteNX)
+	want := fmt.Sprintf("process %#x: pt: concrete mapping %#x missing from abstract state", owner, hidden)
+	for run := 0; run < 2; run++ {
+		err := MemoryWF(c.K)
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: got %v, want %q", run, err, want)
+		}
+	}
+}
