@@ -232,11 +232,10 @@ func TestGrantTransferMidBatchAudit(t *testing.T) {
 // the lowest thread pointer, which is stable across these tests).
 func initOf(k *Kernel) pm.Ptr {
 	var init pm.Ptr
-	for p := range k.PM.ThrdPerms {
-		if init == 0 || p < init {
-			init = p
-		}
-	}
+	k.PM.ThrdPerms.All()(func(p pm.Ptr, _ *pm.Thread) bool {
+		init = p
+		return false // ascending: the first is the lowest
+	})
 	return init
 }
 
@@ -256,9 +255,10 @@ func TestGrantBufferedDropOnEndpointDeath(t *testing.T) {
 	mustOK(t, k.SysCloseEndpoint(0, init, 0))
 	k.PM.Thrd(tidA).Endpoints[0] = pm.NoEndpoint
 	ep := pm.Ptr(0)
-	for p := range k.PM.EdptPerms {
+	k.PM.EdptPerms.All()(func(p pm.Ptr, _ *pm.Endpoint) bool {
 		ep = p
-	}
+		return true
+	})
 	if err := k.PM.EndpointDecRef(ep); err != nil {
 		t.Fatalf("final decref: %v", err)
 	}

@@ -9,8 +9,8 @@ import (
 // register as "container/<name>" and "endpoint/<name>" frontiers as
 // their plans first touch them (shard.go). enterWith reports every
 // acquisition into the observatory (and, when the lock-order checker is
-// armed, validates it against the declared ordering), and the leave
-// closure attributes each held frontier's wait cycles to the (syscall,
+// armed, validates it against the declared ordering), and leave
+// attributes each held frontier's wait cycles to the (syscall,
 // container, core) the funnel resolved meanwhile. RaiseIRQ attributes
 // under the pseudo-syscall "irq". Like the tracer and the ledger, the
 // observatory only reads state — attaching it never changes a charged

@@ -24,7 +24,7 @@ type irqState struct {
 // descriptor slot. The binding holds a reference on the endpoint (it
 // dies only when unregistered or when the endpoint's container dies).
 func (k *Kernel) SysIrqRegister(core int, tid pm.Ptr, irq int, slot int) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("irq_register", tid, fail(EINVAL))
@@ -49,7 +49,7 @@ func (k *Kernel) SysIrqRegister(core int, tid pm.Ptr, irq int, slot int) Ret {
 // SysIrqUnregister releases an IRQ binding owned by the caller (the
 // caller must hold a descriptor to the bound endpoint).
 func (k *Kernel) SysIrqUnregister(core int, tid pm.Ptr, irq int) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("irq_unregister", tid, fail(EINVAL))
@@ -80,7 +80,7 @@ func (k *Kernel) SysIrqUnregister(core int, tid pm.Ptr, irq int) Ret {
 // otherwise the caller blocks receiving on the bound endpoint and is
 // woken by the next interrupt.
 func (k *Kernel) SysIrqWait(core int, tid pm.Ptr, irq int) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("irq_wait", tid, fail(EINVAL))
@@ -161,8 +161,7 @@ func (k *Kernel) RaiseIRQ(core int, irq int) {
 		return
 	}
 	if ep.QueuedRecv && len(ep.Queue) > 0 {
-		handler := ep.Queue[0]
-		ep.Queue = ep.Queue[1:]
+		handler := pm.PopQueue(&ep.Queue)
 		ht := k.PM.Thrd(handler)
 		ht.IPC.Msg = pm.Msg{Regs: [4]uint64{uint64(irq), st.pending + 1}}
 		ht.IPC.WaitingOn = 0

@@ -27,7 +27,7 @@ const killUnitCost = hw.CostCacheTouch * 8
 // kernel); subsequent invocations tear it down piecewise. Returns OK
 // when the subtree is fully reclaimed, EAGAIN when work remains.
 func (k *Kernel) SysKillContainerBounded(core int, tid pm.Ptr, cntr pm.Ptr, budget int) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	defer k.gcShards() // objects reclaimed this installment lose their shards
 	t, okk := k.callerThread(tid)
 	if !okk {
@@ -101,13 +101,18 @@ func (k *Kernel) killOneUnit(cntr pm.Ptr) (bool, error) {
 	})
 	for _, c := range subtree {
 		cc := k.PM.Cntr(c)
-		// 1. Endpoints owned here (their waiters may be anywhere).
-		for _, eptr := range sortedEdpts(k.PM.EdptPerms) {
-			e, still := k.PM.TryEdpt(eptr)
-			if still && e.OwnerCntr == c {
-				k.destroyEndpoint(eptr, k.PM.SubtreeOf(cntr))
-				return true, nil
+		// 1. Endpoints owned here (their waiters may be anywhere), the
+		// lowest first.
+		var owned pm.Ptr
+		k.PM.EdptPerms.All()(func(eptr pm.Ptr, e *pm.Endpoint) bool {
+			if e.OwnerCntr == c {
+				owned = eptr
 			}
+			return owned == 0
+		})
+		if owned != 0 {
+			k.destroyEndpoint(owned, k.PM.SubtreeOf(cntr))
+			return true, nil
 		}
 		// 2. Process work, smallest pointer first.
 		procs := make([]pm.Ptr, 0, len(cc.Procs))

@@ -113,8 +113,8 @@ type Kernel struct {
 	// enable/jitter/registration propagation), label sequence counters,
 	// the armed jitter parameters new shards inherit, the reusable
 	// held-frontier buffer of the funnel, and the test-only plan flip.
-	cntrShards map[pm.Ptr]*shard
-	edptShards map[pm.Ptr]*shard
+	cntrShards pm.Table[shard]
+	edptShards pm.Table[shard]
 	shards     []*shard
 	cntrSeq    int
 	edptSeq    int
@@ -125,9 +125,9 @@ type Kernel struct {
 
 	// local accumulates, per syscall, the cycles spent on work that a
 	// real multicore kernel performs outside the big lock — per-core
-	// page-cache hand-outs and take-backs (zeroing included). The leave
-	// closure subtracts it from the lock hold time it reports to the
-	// contention model, so local work overlaps across cores.
+	// page-cache hand-outs and take-backs (zeroing included). leave
+	// subtracts it from the lock hold time it reports to the contention
+	// model, so local work overlaps across cores.
 	local uint64
 
 	// caches, when non-nil (EnableCoreCaches), are the per-core
@@ -160,7 +160,7 @@ type Kernel struct {
 	// nil unless AttachContention wired one in. bigID is the big lock's
 	// frontier registration; cSys/cCntr carry the in-flight entry's
 	// attribution (syscall name from post, container from callerThread)
-	// until the leave closure bills each held frontier's wait.
+	// until leave bills each held frontier's wait.
 	cobs  *contend.Observatory
 	bigID contend.LockID
 	cSys  string
@@ -206,8 +206,8 @@ func Boot(cfg hw.Config) (*Kernel, pm.Ptr, error) {
 		Machine:    machine,
 		Alloc:      alloc,
 		kclock:     kclock,
-		cntrShards: make(map[pm.Ptr]*shard),
-		edptShards: make(map[pm.Ptr]*shard),
+		cntrShards: pm.NewTable[shard](alloc.Frames()),
+		edptShards: pm.NewTable[shard](alloc.Frames()),
 		batchCore:  make([]bool, machine.NumCores()),
 	}
 	iom, err := iommu.New(alloc, kclock)
@@ -248,22 +248,33 @@ func Boot(cfg hw.Config) (*Kernel, pm.Ptr, error) {
 
 // enter charges syscall entry, the slowpath dispatcher, and the lock;
 // with no plan resolver the op is global and takes the big lock alone.
-// The returned leave function charges exit and attributes the syscall's
-// cycles to core.
-func (k *Kernel) enter(core int) (leave func()) {
+// Every syscall pairs it with leave: defer k.leave(k.enter(core)).
+func (k *Kernel) enter(core int) exit {
 	return k.enterWith(core, hw.CostSyscallEntry+hw.CostSyscallDispatch+hw.CostBigLock, nil)
 }
 
 // enterPlan is the slowpath prologue for sharded ops: resolve runs
 // under the Go mutex and names the frontiers this syscall holds.
-func (k *Kernel) enterPlan(core int, resolve func() lockPlan) (leave func()) {
+func (k *Kernel) enterPlan(core int, resolve func() lockPlan) exit {
 	return k.enterWith(core, hw.CostSyscallEntry+hw.CostSyscallDispatch+hw.CostBigLock, resolve)
 }
 
 // enterFastPlan is the IPC fastpath prologue: no dispatcher (arguments
 // stay in registers end to end, as in seL4's fastpath), sharded plan.
-func (k *Kernel) enterFastPlan(core int, resolve func() lockPlan) (leave func()) {
+func (k *Kernel) enterFastPlan(core int, resolve func() lockPlan) exit {
 	return k.enterWith(core, hw.CostSyscallEntry+hw.CostBigLock, resolve)
+}
+
+// exit is what a syscall's leave needs from its entry: the invoking
+// core and its clock, the exit cost still to charge, the kernel clock
+// at entry, and the frontiers held. It is a plain value, so the funnel
+// allocates nothing per syscall.
+type exit struct {
+	core     int
+	cclk     *hw.Clock
+	exitCost uint64
+	start    uint64
+	held     []frontier
 }
 
 // enterWith is the syscall funnel. Under the Go mutex it resolves the
@@ -273,22 +284,21 @@ func (k *Kernel) enterFastPlan(core int, resolve func() lockPlan) (leave func())
 // one sees, so a core queues behind every planned frontier exactly as a
 // real nested acquisition would. The summed wait is charged to the core
 // (one lock.wait span); entry cost is charged once, whatever the plan.
-// The leave closure releases every held frontier at the same
-// heldUntil — syscall end minus the core-local share — and attributes
-// each frontier's own wait, so independent containers' syscalls overlap
-// in virtual time while every plan containing only the big lock costs
-// exactly what the pre-sharding funnel cost.
-func (k *Kernel) enterWith(core int, entryCost uint64, resolve func() lockPlan) (leave func()) {
+// leave releases every held frontier at the same heldUntil — syscall
+// end minus the core-local share — and attributes each frontier's own
+// wait, so independent containers' syscalls overlap in virtual time
+// while every plan containing only the big lock costs exactly what the
+// pre-sharding funnel cost.
+func (k *Kernel) enterWith(core int, entryCost uint64, resolve func() lockPlan) exit {
 	k.big.Lock()
-	cclk := &k.Machine.Core(core).Clock
-	exitCost := uint64(hw.CostSyscallExit)
+	x := exit{core: core, cclk: &k.Machine.Core(core).Clock, exitCost: hw.CostSyscallExit}
 	if core >= 0 && core < len(k.batchCore) && k.batchCore[core] {
 		// Inside a batch drain the per-op trampoline is gone: the op
 		// pays the SQE decode/dispatch and its lock, nothing else; the
 		// batch itself paid entry once and pays exit once
 		// (syscalls_batch.go).
 		entryCost = hw.CostBatchDispatch + hw.CostBigLock
-		exitCost = 0
+		x.exitCost = 0
 	}
 	plan := planBig()
 	if resolve != nil {
@@ -312,7 +322,8 @@ func (k *Kernel) enterWith(core int, entryCost uint64, resolve func() lockPlan) 
 		}
 	}
 	k.held = held // keep the buffer's capacity for the next entry
-	arrival := cclk.Cycles()
+	x.held = held
+	arrival := x.cclk.Cycles()
 	at := arrival
 	var wait uint64
 	for i := range held {
@@ -325,48 +336,54 @@ func (k *Kernel) enterWith(core int, entryCost uint64, resolve func() lockPlan) 
 		}
 	}
 	if wait > 0 {
-		cclk.Charge(wait)
+		x.cclk.Charge(wait)
 		k.lockWait(core, arrival, wait)
 	}
 	if k.cobs != nil {
 		// The syscall name and container are unknown yet, so
-		// attribution waits for the leave closure.
+		// attribution waits for leave.
 		k.cSys, k.cCntr = "", 0
 	}
-	start := k.kclock.Cycles()
+	x.start = k.kclock.Cycles()
 	k.local = 0
 	if k.obs != nil {
-		k.obs.enter(k, core, start)
+		k.obs.enter(k, core, x.start)
 	}
 	k.kclock.Charge(entryCost)
-	return func() {
-		k.kclock.Charge(exitCost)
-		delta := k.kclock.Cycles() - start
-		if k.obs != nil {
-			k.obs.leave(delta)
-		}
-		if k.ledger != nil {
-			// Bill the syscall's cycles to the caller's container (0 =
-			// unattributed: invalid caller, IRQ dispatch) and drop the
-			// attribution context before the lock releases.
-			k.ledger.ChargeCycles(k.lcntr, delta)
-			k.ledger.SetContext(0)
-			k.lcntr = 0
-		}
-		cclk.Charge(delta)
-		// The core-local share (page-cache hand-outs) does not extend
-		// the hold time other cores observe. Every held frontier
-		// advances to the same release point: the op held them all.
-		heldUntil := cclk.Cycles() - k.local
-		for i := len(held) - 1; i >= 0; i-- {
-			if k.cobs != nil {
-				k.cobs.AttributeWait(held[i].id, k.cSys, k.cCntr, core, held[i].wait)
-				k.cobs.Released(core, held[i].id)
-			}
-			held[i].sim.Release(heldUntil)
-		}
-		k.big.Unlock()
+	return x
+}
+
+// leave is the syscall epilogue: it charges exit, bills the syscall's
+// cycles to the observers and the caller's container, moves them onto
+// the invoking core's clock, releases every held frontier, and drops
+// the Go mutex.
+func (k *Kernel) leave(x exit) {
+	k.kclock.Charge(x.exitCost)
+	delta := k.kclock.Cycles() - x.start
+	if k.obs != nil {
+		k.obs.leave(delta)
 	}
+	if k.ledger != nil {
+		// Bill the syscall's cycles to the caller's container (0 =
+		// unattributed: invalid caller, IRQ dispatch) and drop the
+		// attribution context before the lock releases.
+		k.ledger.ChargeCycles(k.lcntr, delta)
+		k.ledger.SetContext(0)
+		k.lcntr = 0
+	}
+	x.cclk.Charge(delta)
+	// The core-local share (page-cache hand-outs) does not extend the
+	// hold time other cores observe. Every held frontier advances to
+	// the same release point: the op held them all.
+	heldUntil := x.cclk.Cycles() - k.local
+	for i := len(x.held) - 1; i >= 0; i-- {
+		if k.cobs != nil {
+			k.cobs.AttributeWait(x.held[i].id, k.cSys, k.cCntr, x.core, x.held[i].wait)
+			k.cobs.Released(x.core, x.held[i].id)
+		}
+		x.held[i].sim.Release(heldUntil)
+	}
+	k.big.Unlock()
 }
 
 // EnableContention turns on the deterministic contention model
@@ -502,7 +519,7 @@ func errnoOf(err error) Errno {
 // lock plan is the caller's container frontier alone: a yield touches
 // only that container's run state.
 func (k *Kernel) SysYield(core int, tid pm.Ptr) Ret {
-	defer k.enterPlan(core, func() lockPlan { return k.planCaller(tid) })()
+	defer k.leave(k.enterPlan(core, func() lockPlan { return k.planCaller(tid) }))
 	if _, okk := k.callerThread(tid); !okk {
 		return k.post("yield", tid, fail(EINVAL))
 	}

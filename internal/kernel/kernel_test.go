@@ -190,8 +190,8 @@ func TestNestedContainerKill(t *testing.T) {
 			t.Fatalf("container %#x survived subtree kill", cn)
 		}
 	}
-	if len(k.PM.CntrPerms) != 1 {
-		t.Fatalf("%d containers left, want 1 (root)", len(k.PM.CntrPerms))
+	if k.PM.CntrPerms.Len() != 1 {
+		t.Fatalf("%d containers left, want 1 (root)", k.PM.CntrPerms.Len())
 	}
 }
 
@@ -707,4 +707,46 @@ func TestMunmapShootsDownAllTLBs(t *testing.T) {
 	if k.Machine.Core(0).Clock.Cycles()-cyclesBefore < hw.CostInvlpg*uint64(k.Machine.NumCores()-1) {
 		t.Fatal("remote shootdowns not charged")
 	}
+}
+
+// TestHostileObjectPointers feeds syscalls object pointers that name no
+// live object — misaligned, far out of range, and the page of a freed
+// object — and checks each is refused with the syscall's usual errno
+// for a dead object instead of reaching a panic: EINVAL for the caller
+// thread and for an endpoint slot whose endpoint was closed, ENOENT for
+// a named container or process.
+func TestHostileObjectPointers(t *testing.T) {
+	k, init := boot(t)
+	deadCntr := pm.Ptr(mustOK(t, k.SysNewContainer(0, init, 20, []int{0})).Vals[0])
+	mustOK(t, k.SysKillContainer(0, init, deadCntr))
+	deadProc := pm.Ptr(mustOK(t, k.SysNewProcess(0, init)).Vals[0])
+	mustOK(t, k.SysKillProcess(0, init, deadProc))
+	deadThrd := pm.Ptr(mustOK(t, k.SysNewThread(0, init, 0)).Vals[0])
+	k.PM.Dispatch(deadThrd)
+	mustOK(t, k.SysExitThread(0, deadThrd))
+	k.PM.Dispatch(init)
+	mustOK(t, k.SysNewEndpoint(0, init, 5))
+	mustOK(t, k.SysCloseEndpoint(0, init, 5))
+
+	want := func(what string, r Ret, errno Errno) {
+		t.Helper()
+		if r.Errno != errno {
+			t.Errorf("%s: %v, want %v", what, r.Errno, errno)
+		}
+	}
+	for _, bad := range []pm.Ptr{0xdead_beef, 1 << 63, deadCntr, deadProc, deadThrd, init + 8} {
+		name := fmt.Sprintf("%#x", bad)
+		want("yield "+name, k.SysYield(0, bad), EINVAL)
+		want("call "+name, k.SysCall(0, bad, 0, SendArgs{}), EINVAL)
+		want("reply_recv "+name, k.SysReplyRecv(0, bad, 0, SendArgs{}, RecvArgs{EdptSlot: -1}), EINVAL)
+		want("mmap "+name, k.SysMmap(0, bad, 0x400000, 1, hw.Size4K, pt.RW), EINVAL)
+		want("new_endpoint "+name, k.SysNewEndpoint(0, bad, 0), EINVAL)
+		want("new_proc_in "+name, k.SysNewProcessIn(0, init, bad), ENOENT)
+		want("kill_container "+name, k.SysKillContainer(0, init, bad), ENOENT)
+		want("kill_container_bounded "+name, k.SysKillContainerBounded(0, init, bad, 4), ENOENT)
+		want("new_thread_in "+name, k.SysNewThreadIn(0, init, bad, 0), ENOENT)
+		want("kill_proc "+name, k.SysKillProcess(0, init, bad), ENOENT)
+	}
+	want("send on a closed endpoint slot", k.SysSend(0, init, 5, SendArgs{}), EINVAL)
+	want("recv on a closed endpoint slot", k.SysRecv(0, init, 5, RecvArgs{EdptSlot: -1}), EINVAL)
 }

@@ -9,8 +9,8 @@ import (
 
 // Kernel-side observability (internal/obs). Tracepoints ride the
 // syscall funnel: enterWith stamps the entry cycle, post captures the
-// syscall name and errno, and the leave closure emits one span on the
-// invoking core's "kernel" track covering exactly the cycles the
+// syscall name and errno, and leave emits one span on the invoking
+// core's "kernel" track covering exactly the cycles the
 // syscall charged — so summing spans reproduces the per-core clock.
 // RaiseIRQ gets its own "irq" track. Everything here only reads clocks;
 // attaching observability never changes a charged cycle (the bench
@@ -140,8 +140,8 @@ func (o *kobs) post(name string, errno Errno) {
 	o.curErrno = errno
 }
 
-// obsLeave emits the syscall's span and metrics; called from the leave
-// closure with the cycles the syscall charged, before the big lock
+// obsLeave emits the syscall's span and metrics; called from
+// Kernel.leave with the cycles the syscall charged, before the big lock
 // drops. The span sits on the invoking core's timeline starting at the
 // core clock reading the delta is about to be charged onto.
 func (o *kobs) leave(delta uint64) {

@@ -98,7 +98,7 @@ func (k *Kernel) armShard(s *shard, salt uint64) {
 // The root container is labeled "root" to match its attribution name;
 // children get "c<n>" in creation order.
 func (k *Kernel) cntrShard(c pm.Ptr) *shard {
-	s, ok := k.cntrShards[c]
+	s, ok := k.cntrShards.Get(c)
 	if !ok {
 		s = &shard{}
 		label := "root"
@@ -108,7 +108,7 @@ func (k *Kernel) cntrShard(c pm.Ptr) *shard {
 		}
 		s.sim.SetIdentity("container", label)
 		k.armShard(s, uint64(c))
-		k.cntrShards[c] = s
+		k.cntrShards.Put(c, s)
 	}
 	return s
 }
@@ -116,13 +116,13 @@ func (k *Kernel) cntrShard(c pm.Ptr) *shard {
 // edptShard returns (lazily creating) the endpoint's lock frontier,
 // labeled "e<n>" in creation order.
 func (k *Kernel) edptShard(e pm.Ptr) *shard {
-	s, ok := k.edptShards[e]
+	s, ok := k.edptShards.Get(e)
 	if !ok {
 		s = &shard{}
 		k.edptSeq++
 		s.sim.SetIdentity("endpoint", fmt.Sprintf("e%d", k.edptSeq))
 		k.armShard(s, ^uint64(e))
-		k.edptShards[e] = s
+		k.edptShards.Put(e, s)
 	}
 	return s
 }
@@ -134,16 +134,18 @@ func (k *Kernel) edptShard(e pm.Ptr) *shard {
 // the report (which is why -by-class aggregation exists) — and stay on
 // the shard list, where re-arming them is harmless.
 func (k *Kernel) gcShards() {
-	for c := range k.cntrShards {
+	k.cntrShards.All()(func(c pm.Ptr, _ *shard) bool {
 		if _, ok := k.PM.TryCntr(c); !ok {
-			delete(k.cntrShards, c)
+			k.cntrShards.Delete(c)
 		}
-	}
-	for e := range k.edptShards {
+		return true
+	})
+	k.edptShards.All()(func(e pm.Ptr, _ *shard) bool {
 		if _, ok := k.PM.TryEdpt(e); !ok {
-			delete(k.edptShards, e)
+			k.edptShards.Delete(e)
 		}
-	}
+		return true
+	})
 }
 
 // SetLockPlanFlipForTest reverses the acquisition order of every lock

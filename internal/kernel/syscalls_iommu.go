@@ -18,7 +18,7 @@ func iommuDomainID(v uint64) iommu.DomainID { return iommu.DomainID(v) }
 
 // SysIommuCreateDomain creates the caller process's DMA domain.
 func (k *Kernel) SysIommuCreateDomain(core int, tid pm.Ptr) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("iommu_create", tid, fail(EINVAL))
@@ -44,7 +44,7 @@ func (k *Kernel) SysIommuCreateDomain(core int, tid pm.Ptr) Ret {
 // to the caller's DMA domain at the same address (identity iova = va),
 // pinning the page with an extra reference.
 func (k *Kernel) SysIommuMap(core int, tid pm.Ptr, va hw.VirtAddr) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("iommu_map", tid, fail(EINVAL))
@@ -94,7 +94,7 @@ func (k *Kernel) SysIommuMap(core int, tid pm.Ptr, va hw.VirtAddr) Ret {
 
 // SysIommuUnmap removes a DMA mapping and unpins the page.
 func (k *Kernel) SysIommuUnmap(core int, tid pm.Ptr, va hw.VirtAddr) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("iommu_unmap", tid, fail(EINVAL))
@@ -122,7 +122,7 @@ func (k *Kernel) SysIommuUnmap(core int, tid pm.Ptr, va hw.VirtAddr) Ret {
 
 // SysIommuAttach binds a device to the caller process's DMA domain.
 func (k *Kernel) SysIommuAttach(core int, tid pm.Ptr, dev iommu.DeviceID) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("iommu_attach", tid, fail(EINVAL))

@@ -46,7 +46,7 @@ type RecvArgs struct {
 // SysNewEndpoint creates an endpoint charged to the caller's container
 // and installs it in the caller's descriptor slot.
 func (k *Kernel) SysNewEndpoint(core int, tid pm.Ptr, slot int) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("new_endpoint", tid, fail(EINVAL))
@@ -68,7 +68,7 @@ func (k *Kernel) SysNewEndpoint(core int, tid pm.Ptr, slot int) Ret {
 // blocked on the endpoint cannot be the caller (blocked threads cannot
 // issue syscalls), so the queue invariants are preserved.
 func (k *Kernel) SysCloseEndpoint(core int, tid pm.Ptr, slot int) Ret {
-	defer k.enterPlan(core, func() lockPlan { return k.planCloseEndpoint(tid, slot) })()
+	defer k.leave(k.enterPlan(core, func() lockPlan { return k.planCloseEndpoint(tid, slot) }))
 	defer k.gcShards() // runs before leave: drop the shard if the endpoint died
 	t, okk := k.callerThread(tid)
 	if !okk {
@@ -231,7 +231,7 @@ func firstFreeSlot(t *pm.Thread) int {
 // receiver is waiting it completes immediately; otherwise the caller
 // blocks (EWOULDBLOCK reports "blocked", completion arrives at wake).
 func (k *Kernel) SysSend(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
-	defer k.enterPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) })()
+	defer k.leave(k.enterPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) }))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("send", tid, fail(EINVAL))
@@ -247,8 +247,7 @@ func (k *Kernel) SysSend(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 	k.kclock.Charge(hw.CostEndpointOp)
 	if ep.QueuedRecv && len(ep.Queue) > 0 {
 		// Rendezvous: pop the receiver, deliver, wake it.
-		rptr := ep.Queue[0]
-		ep.Queue = ep.Queue[1:]
+		rptr := pm.PopQueue(&ep.Queue)
 		rt := k.PM.Thrd(rptr)
 		err := k.deliver(rt, msg)
 		rt.IPC.WaitingOn = 0
@@ -274,7 +273,7 @@ func (k *Kernel) SysSend(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 // Endpoint transfers are rejected: a descriptor sitting in a buffer
 // would hold an unaccounted reference across the buffer's lifetime.
 func (k *Kernel) SysSendAsync(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
-	defer k.enterPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) })()
+	defer k.leave(k.enterPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) }))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("send_async", tid, fail(EINVAL))
@@ -296,8 +295,7 @@ func (k *Kernel) SysSendAsync(core int, tid pm.Ptr, slot int, args SendArgs) Ret
 	}
 	if rendezvous {
 		k.kclock.Charge(hw.CostEndpointOp)
-		rptr := ep.Queue[0]
-		ep.Queue = ep.Queue[1:]
+		rptr := pm.PopQueue(&ep.Queue)
 		rt := k.PM.Thrd(rptr)
 		err := k.deliver(rt, msg)
 		rt.IPC.WaitingOn = 0
@@ -314,7 +312,7 @@ func (k *Kernel) SysSendAsync(core int, tid pm.Ptr, slot int, args SendArgs) Ret
 // caller blocks and the message is delivered at wake via the thread's
 // IPC state.
 func (k *Kernel) SysRecv(core int, tid pm.Ptr, slot int, args RecvArgs) Ret {
-	defer k.enterPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, false) })()
+	defer k.leave(k.enterPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, false) }))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("recv", tid, fail(EINVAL))
@@ -329,8 +327,7 @@ func (k *Kernel) SysRecv(core int, tid pm.Ptr, slot int, args RecvArgs) Ret {
 	if len(ep.Buffer) > 0 {
 		// Asynchronously buffered messages drain ahead of any blocked
 		// senders: no partner to wake, just the buffer pop.
-		msg := ep.Buffer[0]
-		ep.Buffer = ep.Buffer[1:]
+		msg := pm.PopQueue(&ep.Buffer)
 		k.kclock.Charge(hw.CostEndpointBuffer)
 		if err := k.deliver(t, msg); err != nil {
 			return k.post("recv", tid, fail(errnoOf(err)))
@@ -339,8 +336,7 @@ func (k *Kernel) SysRecv(core int, tid pm.Ptr, slot int, args RecvArgs) Ret {
 	}
 	if !ep.QueuedRecv && len(ep.Queue) > 0 {
 		// Rendezvous: pop the sender, take its message, wake it.
-		sptr := ep.Queue[0]
-		ep.Queue = ep.Queue[1:]
+		sptr := pm.PopQueue(&ep.Queue)
 		st := k.PM.Thrd(sptr)
 		msg := st.IPC.Msg
 		st.IPC.Msg = pm.Msg{}
@@ -366,7 +362,7 @@ func (k *Kernel) SysRecv(core int, tid pm.Ptr, slot int, args RecvArgs) Ret {
 // caller waiting for the reply, and switches directly to the server —
 // one syscall, one direct handoff, no scheduler pass.
 func (k *Kernel) SysCall(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
-	defer k.enterFastPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) })()
+	defer k.leave(k.enterFastPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) }))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("call", tid, fail(EINVAL))
@@ -383,8 +379,7 @@ func (k *Kernel) SysCall(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 		return k.post("call", tid, fail(errno))
 	}
 	k.kclock.Charge(hw.CostEndpointOp)
-	server := ep.Queue[0]
-	ep.Queue = ep.Queue[1:]
+	server := pm.PopQueue(&ep.Queue)
 	st := k.PM.Thrd(server)
 	err := k.deliver(st, msg)
 	st.IPC.WaitingOn = 0
@@ -407,7 +402,7 @@ func (k *Kernel) SysCall(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 // SysReply is the reply fastpath: it delivers to a client blocked
 // receiving on the endpoint and switches directly back to it.
 func (k *Kernel) SysReply(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
-	defer k.enterFastPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) })()
+	defer k.leave(k.enterFastPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) }))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("reply", tid, fail(EINVAL))
@@ -424,8 +419,7 @@ func (k *Kernel) SysReply(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 		return k.post("reply", tid, fail(errno))
 	}
 	k.kclock.Charge(hw.CostEndpointOp)
-	client := ep.Queue[0]
-	ep.Queue = ep.Queue[1:]
+	client := pm.PopQueue(&ep.Queue)
 	ct := k.PM.Thrd(client)
 	err := k.deliver(ct, msg)
 	ct.IPC.WaitingOn = 0
@@ -440,54 +434,60 @@ func (k *Kernel) SysReply(core int, tid pm.Ptr, slot int, args SendArgs) Ret {
 // SysReplyRecv is the server fastpath combining reply and the next
 // receive in one kernel crossing (the shape seL4's seL4_ReplyRecv has):
 // deliver the reply to the waiting client, switch to it if co-located,
-// and leave the server blocked receiving on the same endpoint.
+// and leave the server blocked receiving on the same endpoint. The
+// switch runs after post, as the last step before leave; the body
+// lives in replyRecv so this function keeps one defer and one return,
+// which the compiler open-codes.
 func (k *Kernel) SysReplyRecv(core int, tid pm.Ptr, slot int, args SendArgs, recv RecvArgs) Ret {
-	defer k.enterFastPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) })()
+	defer k.leave(k.enterFastPlan(core, func() lockPlan { return k.planIPC(core, tid, slot, args.SendPage || args.GrantPage) }))
+	ret, ct := k.replyRecv(core, tid, slot, args, recv)
+	if ct != nil && ct.Core == core && ct.State == pm.ThreadRunnable {
+		k.noteSwitch(true, ct.Ptr)
+		k.PM.DirectSwitch(ct.Ptr)
+	}
+	return ret
+}
+
+// replyRecv is SysReplyRecv's body: it returns the posted result and
+// the client the reply woke (nil when no client was waiting).
+func (k *Kernel) replyRecv(core int, tid pm.Ptr, slot int, args SendArgs, recv RecvArgs) (Ret, *pm.Thread) {
 	t, okk := k.callerThread(tid)
 	if !okk {
-		return k.post("reply_recv", tid, fail(EINVAL))
+		return k.post("reply_recv", tid, fail(EINVAL)), nil
 	}
 	if slot < 0 || slot >= pm.MaxEndpoints || t.Endpoints[slot] == pm.NoEndpoint {
-		return k.post("reply_recv", tid, fail(EINVAL))
+		return k.post("reply_recv", tid, fail(EINVAL)), nil
 	}
 	ep := k.PM.Edpt(t.Endpoints[slot])
 	// Reply half.
+	var ct *pm.Thread
 	if ep.QueuedRecv && len(ep.Queue) > 0 {
 		msg, errno := k.resolveMsg(core, t, args)
 		if errno != OK {
-			return k.post("reply_recv", tid, fail(errno))
+			return k.post("reply_recv", tid, fail(errno)), nil
 		}
 		k.kclock.Charge(hw.CostEndpointOp)
-		client := ep.Queue[0]
-		ep.Queue = ep.Queue[1:]
-		ct := k.PM.Thrd(client)
+		client := pm.PopQueue(&ep.Queue)
+		ct = k.PM.Thrd(client)
 		err := k.deliver(ct, msg)
 		ct.IPC.WaitingOn = 0
 		k.PM.Wake(client, err)
-		defer func() {
-			if ct.Core == core && ct.State == pm.ThreadRunnable {
-				k.noteSwitch(true, client)
-				k.PM.DirectSwitch(client)
-			}
-		}()
 	}
 	// Receive half.
 	t.IPC.RecvVA = recv.PageVA
 	t.IPC.RecvEdptSlot = recv.EdptSlot
 	if len(ep.Buffer) > 0 {
 		// Buffered messages drain first, exactly as in SysRecv.
-		msg := ep.Buffer[0]
-		ep.Buffer = ep.Buffer[1:]
+		msg := pm.PopQueue(&ep.Buffer)
 		k.kclock.Charge(hw.CostEndpointBuffer)
 		if err := k.deliver(t, msg); err != nil {
-			return k.post("reply_recv", tid, fail(errnoOf(err)))
+			return k.post("reply_recv", tid, fail(errnoOf(err))), ct
 		}
-		return k.post("reply_recv", tid, ok(msg.Regs[0], msg.Regs[1], msg.Regs[2], msg.Regs[3]))
+		return k.post("reply_recv", tid, ok(msg.Regs[0], msg.Regs[1], msg.Regs[2], msg.Regs[3])), ct
 	}
 	if !ep.QueuedRecv && len(ep.Queue) > 0 {
 		// A sender is already queued: rendezvous inline.
-		sptr := ep.Queue[0]
-		ep.Queue = ep.Queue[1:]
+		sptr := pm.PopQueue(&ep.Queue)
 		st := k.PM.Thrd(sptr)
 		msg := st.IPC.Msg
 		st.IPC.Msg = pm.Msg{}
@@ -495,16 +495,16 @@ func (k *Kernel) SysReplyRecv(core int, tid pm.Ptr, slot int, args SendArgs, rec
 		err := k.deliver(t, msg)
 		k.PM.Wake(sptr, nil)
 		if err != nil {
-			return k.post("reply_recv", tid, fail(errnoOf(err)))
+			return k.post("reply_recv", tid, fail(errnoOf(err))), ct
 		}
-		return k.post("reply_recv", tid, ok(msg.Regs[0], msg.Regs[1], msg.Regs[2], msg.Regs[3]))
+		return k.post("reply_recv", tid, ok(msg.Regs[0], msg.Regs[1], msg.Regs[2], msg.Regs[3])), ct
 	}
 	// Block waiting for the next request.
 	t.IPC.WaitingOn = t.Endpoints[slot]
 	k.PM.BlockCurrent(tid, pm.ThreadBlockedRecv)
 	ep.QueuedRecv = true
 	ep.Queue = append(ep.Queue, tid)
-	return k.post("reply_recv", tid, fail(EWOULDBLOCK))
+	return k.post("reply_recv", tid, fail(EWOULDBLOCK)), ct
 }
 
 // unlinkFromEndpoint removes a blocked thread from the endpoint queue it
@@ -558,14 +558,15 @@ func (k *Kernel) destroyEndpoint(eptr pm.Ptr, dying map[pm.Ptr]struct{}) {
 	e.Buffer = nil
 	// Revoke every descriptor referencing the endpoint, and any IRQ
 	// bindings holding it (their lines go silent with the driver).
-	for _, t := range k.PM.ThrdPerms {
+	k.PM.ThrdPerms.All()(func(_ pm.Ptr, t *pm.Thread) bool {
 		for i, d := range t.Endpoints {
 			if d == eptr {
 				t.Endpoints[i] = pm.NoEndpoint
 				e.RefCount--
 			}
 		}
-	}
+		return true
+	})
 	e.RefCount -= k.dropIRQBindingsFor(eptr)
 	if e.RefCount != 0 {
 		panic("kernel: endpoint refcount does not match descriptors")
@@ -573,12 +574,13 @@ func (k *Kernel) destroyEndpoint(eptr pm.Ptr, dying map[pm.Ptr]struct{}) {
 	// Scrub pending messages that transfer the dying endpoint: a sender
 	// blocked on some *surviving* endpoint may still carry it in its
 	// message, and a later rendezvous would deliver a dangling pointer.
-	for _, t := range k.PM.ThrdPerms {
+	k.PM.ThrdPerms.All()(func(_ pm.Ptr, t *pm.Thread) bool {
 		if t.IPC.Msg.HasEndpoint && t.IPC.Msg.Endpoint == eptr {
 			t.IPC.Msg.HasEndpoint = false
 			t.IPC.Msg.Endpoint = pm.NoEndpoint
 		}
-	}
+		return true
+	})
 	// Force destruction regardless of the counted refs already dropped.
 	k.PM.EndpointIncRef(eptr, 1)
 	if err := k.PM.EndpointDecRef(eptr); err != nil {

@@ -27,7 +27,7 @@ func validSize(size hw.PageSize) bool {
 // work is rolled back, so the syscall is atomic at the specification
 // level (old state preserved on error).
 func (k *Kernel) SysMmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size hw.PageSize, perm pt.Perm) Ret {
-	defer k.enterPlan(core, func() lockPlan { return k.planMmap(core, tid, count, size) })()
+	defer k.leave(k.enterPlan(core, func() lockPlan { return k.planMmap(core, tid, count, size) }))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("mmap", tid, fail(EINVAL))
@@ -152,7 +152,7 @@ func (k *Kernel) allocUser(core int, size hw.PageSize) (hw.PhysAddr, error) {
 // last mapping reference drops). Quota for the pages is credited back;
 // page-table nodes stay installed (and stay charged), as in most kernels.
 func (k *Kernel) SysMunmap(core int, tid pm.Ptr, va hw.VirtAddr, count int, size hw.PageSize) Ret {
-	defer k.enterPlan(core, func() lockPlan { return k.planMunmap(core, tid, count, size) })()
+	defer k.leave(k.enterPlan(core, func() lockPlan { return k.planMunmap(core, tid, count, size) }))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("munmap", tid, fail(EINVAL))

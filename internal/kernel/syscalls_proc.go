@@ -13,7 +13,7 @@ import (
 // carving quota pages and the given CPU subset out of the parent's
 // reservation.
 func (k *Kernel) SysNewContainer(core int, tid pm.Ptr, quota uint64, cpus []int) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("new_container", tid, fail(EINVAL))
@@ -32,7 +32,7 @@ func (k *Kernel) SysNewContainer(core int, tid pm.Ptr, quota uint64, cpus []int)
 // SysNewProcess creates a process in the caller's container as a child of
 // the caller's process.
 func (k *Kernel) SysNewProcess(core int, tid pm.Ptr) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("new_proc", tid, fail(EINVAL))
@@ -50,7 +50,7 @@ func (k *Kernel) SysNewProcess(core int, tid pm.Ptr) Ret {
 // them off — how the A/B/V scenario is assembled). The target container
 // must be in the caller's container subtree.
 func (k *Kernel) SysNewProcessIn(core int, tid pm.Ptr, cntr pm.Ptr) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("new_proc_in", tid, fail(EINVAL))
@@ -73,7 +73,7 @@ func (k *Kernel) SysNewProcessIn(core int, tid pm.Ptr, cntr pm.Ptr) Ret {
 // SysNewThread creates a thread in the caller's process, affine to core
 // onCore (which must be reserved by the container).
 func (k *Kernel) SysNewThread(core int, tid pm.Ptr, onCore int) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("new_thread", tid, fail(EINVAL))
@@ -89,7 +89,7 @@ func (k *Kernel) SysNewThread(core int, tid pm.Ptr, onCore int) Ret {
 // own process, a descendant process, or any process in a descendant
 // container.
 func (k *Kernel) SysNewThreadIn(core int, tid pm.Ptr, proc pm.Ptr, onCore int) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	t, okk := k.callerThread(tid)
 	if !okk {
 		return k.post("new_thread_in", tid, fail(EINVAL))
@@ -140,7 +140,7 @@ func (k *Kernel) controlsProcess(caller *pm.Process, callerPtr pm.Ptr, target *p
 // SysExitThread terminates the calling thread, releasing its endpoint
 // descriptors and its object page.
 func (k *Kernel) SysExitThread(core int, tid pm.Ptr) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	defer k.gcShards() // endpoints may die with their last descriptor
 	if _, okk := k.callerThread(tid); !okk {
 		return k.post("exit_thread", tid, fail(EINVAL))
@@ -157,7 +157,7 @@ func (k *Kernel) SysExitThread(core int, tid pm.Ptr) Ret {
 // its descendant processes (within the same container), their threads,
 // address spaces, and IOMMU domains.
 func (k *Kernel) SysKillProcess(core int, tid pm.Ptr, proc pm.Ptr) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	defer k.gcShards() // endpoints may die with the process's descriptors
 	t, okk := k.callerThread(tid)
 	if !okk {
@@ -238,7 +238,7 @@ func (k *Kernel) reapThread(th pm.Ptr) error {
 // are woken with EDEADOBJ), and the carved quota returns to the parent —
 // the paper's terminate-and-harvest revocation model (§3).
 func (k *Kernel) SysKillContainer(core int, tid pm.Ptr, cntr pm.Ptr) Ret {
-	defer k.enter(core)()
+	defer k.leave(k.enter(core))
 	defer k.gcShards() // the dying subtree's containers and endpoints
 	t, okk := k.callerThread(tid)
 	if !okk {
@@ -253,22 +253,19 @@ func (k *Kernel) SysKillContainer(core int, tid pm.Ptr, cntr pm.Ptr) Ret {
 	}
 	killed := k.PM.SubtreeOf(cntr)
 
-	// All iteration below runs in sorted pointer order: teardown must be
-	// a deterministic function of the pre-state (output consistency,
-	// §4.3), and Go map order is randomized.
+	// All iteration below runs in ascending pointer order (the
+	// permission tables iterate that way; sets are sorted): teardown
+	// must be a deterministic function of the pre-state (output
+	// consistency, §4.3), and Go map order is randomized.
 
 	// 1. Destroy endpoints owned by the dying subtree. Outside waiters
 	// are woken with an error and their descriptors revoked.
-	for _, eptr := range sortedEdpts(k.PM.EdptPerms) {
-		e, still := k.PM.TryEdpt(eptr)
-		if !still {
-			continue
+	k.PM.EdptPerms.All()(func(eptr pm.Ptr, e *pm.Endpoint) bool {
+		if _, dying := killed[e.OwnerCntr]; dying {
+			k.destroyEndpoint(eptr, killed)
 		}
-		if _, dying := killed[e.OwnerCntr]; !dying {
-			continue
-		}
-		k.destroyEndpoint(eptr, killed)
-	}
+		return true
+	})
 
 	// 2. Reap every process in the subtree.
 	for _, p := range sortedPtrSet(k.PM.ProcsOf(cntr)) {
@@ -313,16 +310,6 @@ func (k *Kernel) SysKillContainer(core int, tid pm.Ptr, cntr pm.Ptr) Ret {
 func sortedPtrSet(s map[pm.Ptr]struct{}) []pm.Ptr {
 	out := make([]pm.Ptr, 0, len(s))
 	for p := range s {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// sortedEdpts returns the endpoint map's keys in ascending order.
-func sortedEdpts(m map[pm.Ptr]*pm.Endpoint) []pm.Ptr {
-	out := make([]pm.Ptr, 0, len(m))
-	for p := range m {
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

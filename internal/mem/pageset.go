@@ -188,11 +188,29 @@ func (s PageSet) Subset(other PageSet) bool {
 // Each calls fn for every element in ascending order. fn must not
 // modify the set.
 func (s PageSet) Each(fn func(hw.PhysAddr)) {
-	for i, w := range s.words() {
-		for w != 0 {
-			f := uint64(i)*64 + uint64(bits.TrailingZeros64(w))
-			fn(hw.PhysAddr(f * hw.PageSize4K))
-			w &= w - 1
+	s.All()(func(p hw.PhysAddr) bool {
+		fn(p)
+		return true
+	})
+}
+
+// All returns the elements in ascending order as a sequence that stops
+// as soon as yield returns false; it has the shape of an
+// iter.Seq[hw.PhysAddr] (spelled out because the module's go 1.22
+// language version predates package iter and range-over-func). The
+// scan costs O(words + elements). Each word is read once, before its
+// elements are yielded: yield may remove the element it is given, but
+// must not insert.
+func (s PageSet) All() func(yield func(hw.PhysAddr) bool) {
+	return func(yield func(hw.PhysAddr) bool) {
+		for i, w := range s.words() {
+			for w != 0 {
+				f := uint64(i)*64 + uint64(bits.TrailingZeros64(w))
+				if !yield(hw.PhysAddr(f * hw.PageSize4K)) {
+					return
+				}
+				w &= w - 1
+			}
 		}
 	}
 }

@@ -69,19 +69,14 @@ func Observe(k *kernel.Kernel, cntr pm.Ptr) string {
 	}
 	// Endpoints owned by the subtree: queue shapes are observable (a
 	// thread can probe whether its send blocks).
-	eps := make([]pm.Ptr, 0)
 	sub := k.PM.SubtreeOf(cntr)
-	for e, ep := range k.PM.EdptPerms {
+	k.PM.EdptPerms.All()(func(e pm.Ptr, ep *pm.Endpoint) bool {
 		if _, owned := sub[ep.OwnerCntr]; owned {
-			eps = append(eps, e)
+			fmt.Fprintf(&b, "endpoint %#x refs=%d recv=%v queue=%v\n",
+				e, ep.RefCount, ep.QueuedRecv, ep.Queue)
 		}
-	}
-	sort.Slice(eps, func(i, j int) bool { return eps[i] < eps[j] })
-	for _, e := range eps {
-		ep := k.PM.Edpt(e)
-		fmt.Fprintf(&b, "endpoint %#x refs=%d recv=%v queue=%v\n",
-			e, ep.RefCount, ep.QueuedRecv, ep.Queue)
-	}
+		return true
+	})
 	return b.String()
 }
 

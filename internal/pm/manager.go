@@ -18,19 +18,20 @@ var (
 )
 
 // ProcessManager owns every container, process, thread, and endpoint in
-// the system. The four permission maps are the flat permission storage of
-// Listing 2: holding an object pointer grants nothing; the authority to
-// dereference lives here, at the top level of the subsystem.
+// the system. The four permission tables are the flat permission storage
+// of Listing 2: holding an object pointer grants nothing; the authority
+// to dereference lives here, at the top level of the subsystem, in one
+// frame-indexed slot per object page.
 type ProcessManager struct {
 	alloc *mem.Allocator
 	clock *hw.Clock
 
 	RootContainer Ptr
 
-	CntrPerms map[Ptr]*Container
-	ProcPerms map[Ptr]*Process
-	ThrdPerms map[Ptr]*Thread
-	EdptPerms map[Ptr]*Endpoint
+	CntrPerms Table[Container]
+	ProcPerms Table[Process]
+	ThrdPerms Table[Thread]
+	EdptPerms Table[Endpoint]
 
 	// OnEndpointFree, when set, runs on an endpoint about to be destroyed
 	// by EndpointDecRef. The kernel installs it to release the page
@@ -45,13 +46,14 @@ type ProcessManager struct {
 // New creates a process manager with a root container spanning all of
 // the machine's cores and holding the given page quota.
 func New(alloc *mem.Allocator, clock *hw.Clock, cores int, rootQuota uint64) (*ProcessManager, error) {
+	frames := alloc.Frames()
 	m := &ProcessManager{
 		alloc:     alloc,
 		clock:     clock,
-		CntrPerms: make(map[Ptr]*Container),
-		ProcPerms: make(map[Ptr]*Process),
-		ThrdPerms: make(map[Ptr]*Thread),
-		EdptPerms: make(map[Ptr]*Endpoint),
+		CntrPerms: NewTable[Container](frames),
+		ProcPerms: NewTable[Process](frames),
+		ThrdPerms: NewTable[Thread](frames),
+		EdptPerms: NewTable[Endpoint](frames),
 		sched:     newScheduler(cores),
 	}
 	page, err := alloc.AllocPage4K(mem.OwnerProcessMgr)
@@ -71,7 +73,7 @@ func New(alloc *mem.Allocator, clock *hw.Clock, cores int, rootQuota uint64) (*P
 		OwnedThreads: make(map[Ptr]struct{}),
 		Subtree:      make(map[Ptr]struct{}),
 	}
-	m.CntrPerms[page] = root
+	m.CntrPerms.Put(page, root)
 	m.RootContainer = page
 	return m, nil
 }
@@ -90,7 +92,7 @@ func (m *ProcessManager) Sched() *Scheduler { return m.sched }
 // Cntr dereferences a container pointer; it panics if no permission is
 // held — the analogue of Verus rejecting the access statically.
 func (m *ProcessManager) Cntr(p Ptr) *Container {
-	c, ok := m.CntrPerms[p]
+	c, ok := m.CntrPerms.Get(p)
 	if !ok {
 		panic(fmt.Sprintf("pm: dereference of container %#x without permission", p))
 	}
@@ -100,7 +102,7 @@ func (m *ProcessManager) Cntr(p Ptr) *Container {
 
 // Proc dereferences a process pointer.
 func (m *ProcessManager) Proc(p Ptr) *Process {
-	pr, ok := m.ProcPerms[p]
+	pr, ok := m.ProcPerms.Get(p)
 	if !ok {
 		panic(fmt.Sprintf("pm: dereference of process %#x without permission", p))
 	}
@@ -110,7 +112,7 @@ func (m *ProcessManager) Proc(p Ptr) *Process {
 
 // Thrd dereferences a thread pointer.
 func (m *ProcessManager) Thrd(p Ptr) *Thread {
-	t, ok := m.ThrdPerms[p]
+	t, ok := m.ThrdPerms.Get(p)
 	if !ok {
 		panic(fmt.Sprintf("pm: dereference of thread %#x without permission", p))
 	}
@@ -120,7 +122,7 @@ func (m *ProcessManager) Thrd(p Ptr) *Thread {
 
 // Edpt dereferences an endpoint pointer.
 func (m *ProcessManager) Edpt(p Ptr) *Endpoint {
-	e, ok := m.EdptPerms[p]
+	e, ok := m.EdptPerms.Get(p)
 	if !ok {
 		panic(fmt.Sprintf("pm: dereference of endpoint %#x without permission", p))
 	}
@@ -132,26 +134,22 @@ func (m *ProcessManager) Edpt(p Ptr) *Endpoint {
 // validation paths, where a bad pointer is a user error, not a kernel
 // invariant violation.
 func (m *ProcessManager) TryCntr(p Ptr) (*Container, bool) {
-	c, ok := m.CntrPerms[p]
-	return c, ok
+	return m.CntrPerms.Get(p)
 }
 
 // TryProc is the non-panicking process dereference.
 func (m *ProcessManager) TryProc(p Ptr) (*Process, bool) {
-	pr, ok := m.ProcPerms[p]
-	return pr, ok
+	return m.ProcPerms.Get(p)
 }
 
 // TryThrd is the non-panicking thread dereference.
 func (m *ProcessManager) TryThrd(p Ptr) (*Thread, bool) {
-	t, ok := m.ThrdPerms[p]
-	return t, ok
+	return m.ThrdPerms.Get(p)
 }
 
 // TryEdpt is the non-panicking endpoint dereference.
 func (m *ProcessManager) TryEdpt(p Ptr) (*Endpoint, bool) {
-	e, ok := m.EdptPerms[p]
-	return e, ok
+	return m.EdptPerms.Get(p)
 }
 
 // --- quota accounting -------------------------------------------------------
@@ -222,7 +220,7 @@ func (m *ProcessManager) NewProcess(cntr, parentProc Ptr) (Ptr, error) {
 		return 0, err
 	}
 	p := &Process{Ptr: page, Owner: cntr, Parent: parentProc, PageTable: table}
-	m.ProcPerms[page] = p
+	m.ProcPerms.Put(page, p)
 	c.Procs[page] = struct{}{}
 	if parentProc != 0 {
 		pp := m.Proc(parentProc)
@@ -251,7 +249,7 @@ func (m *ProcessManager) NewThread(proc Ptr, core int) (Ptr, error) {
 	}
 	t := &Thread{Ptr: page, OwningProc: proc, OwningCntr: p.Owner, State: ThreadRunnable, Core: core}
 	t.IPC.RecvEdptSlot = -1
-	m.ThrdPerms[page] = t
+	m.ThrdPerms.Put(page, t)
 	p.Threads = append(p.Threads, page)
 	c.OwnedThreads[page] = struct{}{}
 	m.sched.enqueue(t)
@@ -267,7 +265,7 @@ func (m *ProcessManager) NewEndpoint(cntr Ptr, refs int) (Ptr, error) {
 		return 0, err
 	}
 	e := &Endpoint{Ptr: page, RefCount: refs, OwnerCntr: cntr}
-	m.EdptPerms[page] = e
+	m.EdptPerms.Put(page, e)
 	return page, nil
 }
 
@@ -292,7 +290,7 @@ func (m *ProcessManager) EndpointDecRef(edpt Ptr) error {
 	if m.OnEndpointFree != nil {
 		m.OnEndpointFree(e)
 	}
-	delete(m.EdptPerms, edpt)
+	m.EdptPerms.Delete(edpt)
 	m.freeObjectPage(e.OwnerCntr, edpt)
 	return nil
 }
@@ -315,7 +313,7 @@ func (m *ProcessManager) FreeThread(thrd Ptr) error {
 	}
 	p.Threads = removePtr(p.Threads, thrd)
 	delete(c.OwnedThreads, thrd)
-	delete(m.ThrdPerms, thrd)
+	m.ThrdPerms.Delete(thrd)
 	m.freeObjectPage(t.OwningCntr, thrd)
 	return nil
 }
@@ -341,7 +339,7 @@ func (m *ProcessManager) FreeProcess(proc Ptr) error {
 		}
 	}
 	delete(c.Procs, proc)
-	delete(m.ProcPerms, proc)
+	m.ProcPerms.Delete(proc)
 	m.freeObjectPage(p.Owner, proc)
 	return nil
 }

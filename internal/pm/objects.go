@@ -11,11 +11,15 @@
 //     are all Ptr values.
 //
 //   - Flat permission storage (Listing 2). The authority to dereference
-//     any object pointer is held in flat maps at the top of the
+//     any object pointer is held in flat tables at the top of the
 //     ProcessManager (CntrPerms, ProcPerms, ThrdPerms, EdptPerms), never
-//     inside the objects themselves. Dereference goes through these maps
-//     and fails loudly for a dangling pointer — the executable analogue
-//     of Verus rejecting an access without a tracked PointsTo permission.
+//     inside the objects themselves. Each is a frame-indexed Table: the
+//     slot at the object's page number holds the object, the run-time
+//     counterpart of the PointsTo map Verus erases after checking, so a
+//     dereference is one indexed load. Dereference goes through these
+//     tables and fails loudly for a dangling pointer — the executable
+//     analogue of Verus rejecting an access without a tracked PointsTo
+//     permission.
 //
 // Structural ghost state (each container's Path and Subtree) is maintained
 // eagerly on every tree mutation, and internal/verify checks the
@@ -217,3 +221,16 @@ type Endpoint struct {
 // MaxEndpointBuffer bounds an endpoint's asynchronous message buffer;
 // send_async returns EAGAIN when it is full.
 const MaxEndpointBuffer = 64
+
+// PopQueue removes and returns the head of a non-empty FIFO, shifting
+// the rest down within the same backing array, so the append that later
+// enqueues reuses the array instead of reallocating it. Endpoint queues
+// and buffers and the run queues are a handful of entries long, and
+// every reader that keeps one (spec.Abstract, Scheduler.Queue) copies
+// it, so reusing the array cannot alias a snapshot.
+func PopQueue[T any](q *[]T) T {
+	s := *q
+	head := s[0]
+	*q = s[:copy(s, s[1:])]
+	return head
+}

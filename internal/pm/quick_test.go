@@ -56,7 +56,7 @@ func TestPropTreeGhostsAfterRandomOps(t *testing.T) {
 			}
 		}
 	}
-	for ptr, c := range m.CntrPerms {
+	m.CntrPerms.All()(func(ptr Ptr, c *Container) bool {
 		rec := m.ResolvePathRecursive(ptr)
 		if len(rec) != len(c.Path) {
 			t.Fatalf("path length mismatch at %#x", ptr)
@@ -75,7 +75,8 @@ func TestPropTreeGhostsAfterRandomOps(t *testing.T) {
 				t.Fatalf("subtree member mismatch at %#x", ptr)
 			}
 		}
-	}
+		return true
+	})
 }
 
 // TestPropSchedulerConservation: any interleaving of dispatch, block,
@@ -182,18 +183,10 @@ func TestPropObjectPagesMatchPermissions(t *testing.T) {
 	}
 	owned := m.Alloc().AllocatedTo(mem.OwnerProcessMgr)
 	objPages := mem.NewPageSet()
-	for p := range m.CntrPerms {
-		objPages.Insert(p)
-	}
-	for p := range m.ProcPerms {
-		objPages.Insert(p)
-	}
-	for p := range m.ThrdPerms {
-		objPages.Insert(p)
-	}
-	for p := range m.EdptPerms {
-		objPages.Insert(p)
-	}
+	m.CntrPerms.All()(func(p Ptr, _ *Container) bool { objPages.Insert(p); return true })
+	m.ProcPerms.All()(func(p Ptr, _ *Process) bool { objPages.Insert(p); return true })
+	m.ThrdPerms.All()(func(p Ptr, _ *Thread) bool { objPages.Insert(p); return true })
+	m.EdptPerms.All()(func(p Ptr, _ *Endpoint) bool { objPages.Insert(p); return true })
 	if !owned.Equal(objPages) {
 		t.Fatalf("allocator says %d PM pages, permissions say %d", owned.Len(), objPages.Len())
 	}

@@ -143,8 +143,7 @@ func (m *ProcessManager) PickNext(core int) Ptr {
 		}
 		return 0
 	}
-	next := s.queues[core][0]
-	s.queues[core] = s.queues[core][1:]
+	next := PopQueue(&s.queues[core])
 	t := m.Thrd(next)
 	t.State = ThreadRunning
 	s.current[core] = next

@@ -48,7 +48,7 @@ func (m *ProcessManager) NewContainer(parent Ptr, quota uint64, cpus []int) (Ptr
 	}
 	// Ghost path: parent's path plus the parent itself (Listing 2).
 	child.Path = append(append([]Ptr(nil), pc.Path...), parent)
-	m.CntrPerms[page] = child
+	m.CntrPerms.Put(page, child)
 	pc.Children = append(pc.Children, page)
 	// Extend the subtree ghost of every direct and indirect parent —
 	// the new_container_ensures() postcondition (Listing 3).
@@ -75,7 +75,7 @@ func (m *ProcessManager) UnlinkContainer(cntr Ptr) error {
 	for _, anc := range c.Path {
 		delete(m.Cntr(anc).Subtree, cntr)
 	}
-	delete(m.CntrPerms, cntr)
+	m.CntrPerms.Delete(cntr)
 	if err := m.alloc.FreePage(cntr); err != nil {
 		return err
 	}

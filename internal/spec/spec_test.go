@@ -44,10 +44,10 @@ func TestAbstractionCoversAllObjects(t *testing.T) {
 	}
 	k.SysNewEndpoint(0, init, 3)
 	st := abs(k)
-	if len(st.Containers) != len(k.PM.CntrPerms) ||
-		len(st.Threads) != len(k.PM.ThrdPerms) ||
-		len(st.Endpoints) != len(k.PM.EdptPerms) ||
-		len(st.Procs) != len(k.PM.ProcPerms) {
+	if len(st.Containers) != k.PM.CntrPerms.Len() ||
+		len(st.Threads) != k.PM.ThrdPerms.Len() ||
+		len(st.Endpoints) != k.PM.EdptPerms.Len() ||
+		len(st.Procs) != k.PM.ProcPerms.Len() {
 		t.Fatal("abstraction dropped objects")
 	}
 	if st.RootContainer != k.PM.RootContainer {

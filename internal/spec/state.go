@@ -106,15 +106,15 @@ type State struct {
 func Abstract(p *pm.ProcessManager, alloc *mem.Allocator, iom *iommu.IOMMU) State {
 	st := State{
 		RootContainer: p.RootContainer,
-		Containers:    make(map[Ptr]Container, len(p.CntrPerms)),
-		Procs:         make(map[Ptr]Proc, len(p.ProcPerms)),
-		Threads:       make(map[Ptr]Thread, len(p.ThrdPerms)),
-		Endpoints:     make(map[Ptr]Endpoint, len(p.EdptPerms)),
-		AddressSpaces: make(map[Ptr]map[hw.VirtAddr]pt.MapEntry, len(p.ProcPerms)),
+		Containers:    make(map[Ptr]Container, p.CntrPerms.Len()),
+		Procs:         make(map[Ptr]Proc, p.ProcPerms.Len()),
+		Threads:       make(map[Ptr]Thread, p.ThrdPerms.Len()),
+		Endpoints:     make(map[Ptr]Endpoint, p.EdptPerms.Len()),
+		AddressSpaces: make(map[Ptr]map[hw.VirtAddr]pt.MapEntry, p.ProcPerms.Len()),
 		DMASpaces:     make(map[iommu.DomainID]map[hw.VirtAddr]pt.MapEntry),
 		Mem:           alloc.Snapshot(),
 	}
-	for ptr, c := range p.CntrPerms {
+	p.CntrPerms.All()(func(ptr Ptr, c *pm.Container) bool {
 		ac := Container{
 			Parent:       c.Parent,
 			Children:     append([]Ptr(nil), c.Children...),
@@ -137,8 +137,9 @@ func Abstract(p *pm.ProcessManager, alloc *mem.Allocator, iom *iommu.IOMMU) Stat
 			ac.OwnedThreads[s] = true
 		}
 		st.Containers[ptr] = ac
-	}
-	for ptr, pr := range p.ProcPerms {
+		return true
+	})
+	p.ProcPerms.All()(func(ptr Ptr, pr *pm.Process) bool {
 		st.Procs[ptr] = Proc{
 			Owner:       pr.Owner,
 			Parent:      pr.Parent,
@@ -147,8 +148,9 @@ func Abstract(p *pm.ProcessManager, alloc *mem.Allocator, iom *iommu.IOMMU) Stat
 			IOMMUDomain: pr.IOMMUDomain,
 		}
 		st.AddressSpaces[ptr] = pr.PageTable.AddressSpace()
-	}
-	for ptr, t := range p.ThrdPerms {
+		return true
+	})
+	p.ThrdPerms.All()(func(ptr Ptr, t *pm.Thread) bool {
 		st.Threads[ptr] = Thread{
 			OwningProc: t.OwningProc,
 			OwningCntr: t.OwningCntr,
@@ -157,8 +159,9 @@ func Abstract(p *pm.ProcessManager, alloc *mem.Allocator, iom *iommu.IOMMU) Stat
 			Endpoints:  t.Endpoints,
 			WaitingOn:  t.IPC.WaitingOn,
 		}
-	}
-	for ptr, e := range p.EdptPerms {
+		return true
+	})
+	p.EdptPerms.All()(func(ptr Ptr, e *pm.Endpoint) bool {
 		var buf []BufMsg
 		for _, m := range e.Buffer {
 			buf = append(buf, BufMsg{HasPage: m.HasPage, Size: m.PageSize, Perm: m.PagePerm})
@@ -170,7 +173,8 @@ func Abstract(p *pm.ProcessManager, alloc *mem.Allocator, iom *iommu.IOMMU) Stat
 			OwnerCntr:  e.OwnerCntr,
 			Buffered:   buf,
 		}
-	}
+		return true
+	})
 	if iom != nil {
 		for id, d := range iom.Domains() {
 			st.DMASpaces[id] = d.Table.AddressSpace()

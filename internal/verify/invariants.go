@@ -4,7 +4,7 @@
 // global invariants hold after every transition).
 //
 // The invariants are written in the paper's flat, non-recursive style:
-// single passes over the flat permission maps (§4.1). Recursive variants
+// single passes over the flat permission tables (§4.1). Recursive variants
 // of the structural invariants live in recursive.go, used only by the
 // flat-vs-recursive ablation (§6.2).
 package verify
@@ -20,24 +20,44 @@ import (
 	"atmosphere/internal/pt"
 )
 
+// each runs fn over a permission table in ascending pointer order and
+// stops at the first error, so a failing check names the lowest
+// offending object.
+func each[T any](t *pm.Table[T], fn func(pm.Ptr, *T) error) error {
+	var err error
+	t.All()(func(p pm.Ptr, v *T) bool {
+		err = fn(p, v)
+		return err == nil
+	})
+	return err
+}
+
+// insertPtrs adds every live pointer of t to s.
+func insertPtrs[T any](s mem.PageSet, t *pm.Table[T]) {
+	t.All()(func(p pm.Ptr, _ *T) bool {
+		s.Insert(p)
+		return true
+	})
+}
+
 // ContainerTreeWF is the flat structural invariant of the container tree
 // (container_tree_wf, §4.1): parent/child symmetry, depth and path
 // coherence, the path-prefix property, and subtree ghost exactness —
-// all expressed as direct loops over the flat container map.
+// all expressed as direct loops over the flat container table.
 func ContainerTreeWF(k *kernel.Kernel) error {
-	cm := k.PM.CntrPerms
-	root, ok := cm[k.PM.RootContainer]
+	cm := &k.PM.CntrPerms
+	root, ok := cm.Get(k.PM.RootContainer)
 	if !ok {
 		return fmt.Errorf("root container has no permission entry")
 	}
 	if root.Parent != 0 || root.Depth != 0 || len(root.Path) != 0 {
 		return fmt.Errorf("root container malformed")
 	}
-	for ptr, c := range cm {
+	if err := each(cm, func(ptr pm.Ptr, c *pm.Container) error {
 		if ptr == k.PM.RootContainer {
-			continue
+			return nil
 		}
-		p, ok := cm[c.Parent]
+		p, ok := cm.Get(c.Parent)
 		if !ok {
 			return fmt.Errorf("container %#x has dead parent %#x", ptr, c.Parent)
 		}
@@ -59,12 +79,15 @@ func ContainerTreeWF(k *kernel.Kernel) error {
 		if len(c.Path) == 0 || c.Path[len(c.Path)-1] != c.Parent {
 			return fmt.Errorf("container %#x path does not end at parent", ptr)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	// resolve_path_wf (§4.1): for any node n at depth d on c's path,
 	// c's subpath [0,d) equals n's path — checked flatly for all pairs.
-	for ptr, c := range cm {
+	if err := each(cm, func(ptr pm.Ptr, c *pm.Container) error {
 		for d, n := range c.Path {
-			nc, ok := cm[n]
+			nc, ok := cm.Get(n)
 			if !ok {
 				return fmt.Errorf("container %#x path names dead container %#x", ptr, n)
 			}
@@ -77,13 +100,16 @@ func ContainerTreeWF(k *kernel.Kernel) error {
 				}
 			}
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	// Children lists reference live containers whose parent is this one,
 	// and no container is the child of two parents.
-	childOf := make(map[pm.Ptr]pm.Ptr, len(cm))
-	for ptr, c := range cm {
+	childOf := make(map[pm.Ptr]pm.Ptr, cm.Len())
+	if err := each(cm, func(ptr pm.Ptr, c *pm.Container) error {
 		for _, ch := range c.Children {
-			cc, ok := cm[ch]
+			cc, ok := cm.Get(ch)
 			if !ok {
 				return fmt.Errorf("container %#x lists dead child %#x", ptr, ch)
 			}
@@ -95,12 +121,15 @@ func ContainerTreeWF(k *kernel.Kernel) error {
 			}
 			childOf[ch] = ptr
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	// Subtree ghost exactness, the flat way (§4.1): no per-node set
 	// reconstruction. Two facts pin the ghost down exactly:
 	//
 	//  1. containment: every node appears in the subtree of each of its
-	//     path ancestors (direct membership probes into the flat maps);
+	//     path ancestors (direct membership probes into the flat tables);
 	//  2. counting: Σ|c.Subtree| over all containers equals Σ depth(n)
 	//     over all nodes — each node belongs to exactly its depth(n)
 	//     ancestors' subtrees, so (1) plus this total rules out any
@@ -110,20 +139,24 @@ func ContainerTreeWF(k *kernel.Kernel) error {
 	// recursive union definition without ever materializing a set.
 	totalGhost := 0
 	totalDepth := 0
-	for ptr, c := range cm {
+	if err := each(cm, func(ptr pm.Ptr, c *pm.Container) error {
 		totalGhost += len(c.Subtree)
 		totalDepth += c.Depth
 		for _, anc := range c.Path {
-			if _, ok := cm[anc].Subtree[ptr]; !ok {
+			a, _ := cm.Get(anc)
+			if _, ok := a.Subtree[ptr]; !ok {
 				return fmt.Errorf("ancestor %#x subtree missing descendant %#x", anc, ptr)
 			}
 		}
 		// Members of a subtree must at least be live containers.
 		for s := range c.Subtree {
-			if _, ok := cm[s]; !ok {
+			if _, ok := cm.Get(s); !ok {
 				return fmt.Errorf("container %#x subtree holds dead container %#x", ptr, s)
 			}
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	if totalGhost != totalDepth {
 		return fmt.Errorf("subtree ghosts hold %d memberships, path depths say %d",
@@ -137,8 +170,8 @@ func ContainerTreeWF(k *kernel.Kernel) error {
 // and the owned_thrds ghost exactness.
 func ProcessesWF(k *kernel.Kernel) error {
 	pmgr := k.PM
-	for ptr, p := range pmgr.ProcPerms {
-		c, ok := pmgr.CntrPerms[p.Owner]
+	if err := each(&pmgr.ProcPerms, func(ptr pm.Ptr, p *pm.Process) error {
+		c, ok := pmgr.CntrPerms.Get(p.Owner)
 		if !ok {
 			return fmt.Errorf("process %#x has dead owner %#x", ptr, p.Owner)
 		}
@@ -146,7 +179,7 @@ func ProcessesWF(k *kernel.Kernel) error {
 			return fmt.Errorf("container %#x does not list process %#x", p.Owner, ptr)
 		}
 		if p.Parent != 0 {
-			pp, ok := pmgr.ProcPerms[p.Parent]
+			pp, ok := pmgr.ProcPerms.Get(p.Parent)
 			if !ok {
 				return fmt.Errorf("process %#x has dead parent %#x", ptr, p.Parent)
 			}
@@ -164,22 +197,25 @@ func ProcessesWF(k *kernel.Kernel) error {
 			}
 		}
 		for _, ch := range p.Children {
-			cp, ok := pmgr.ProcPerms[ch]
+			cp, ok := pmgr.ProcPerms.Get(ch)
 			if !ok || cp.Parent != ptr {
 				return fmt.Errorf("process %#x child link to %#x broken", ptr, ch)
 			}
 		}
 		for _, th := range p.Threads {
-			t, ok := pmgr.ThrdPerms[th]
+			t, ok := pmgr.ThrdPerms.Get(th)
 			if !ok || t.OwningProc != ptr {
 				return fmt.Errorf("process %#x thread link to %#x broken", ptr, th)
 			}
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	// Container.Procs lists only live processes owned by it.
-	for cptr, c := range pmgr.CntrPerms {
+	return each(&pmgr.CntrPerms, func(cptr pm.Ptr, c *pm.Container) error {
 		for pp := range c.Procs {
-			proc, ok := pmgr.ProcPerms[pp]
+			proc, ok := pmgr.ProcPerms.Get(pp)
 			if !ok || proc.Owner != cptr {
 				return fmt.Errorf("container %#x lists foreign/dead process %#x", cptr, pp)
 			}
@@ -187,7 +223,8 @@ func ProcessesWF(k *kernel.Kernel) error {
 		// owned_thrds ghost == union of the threads of its processes.
 		want := make(map[pm.Ptr]struct{})
 		for pp := range c.Procs {
-			for _, th := range pmgr.ProcPerms[pp].Threads {
+			proc, _ := pmgr.ProcPerms.Get(pp)
+			for _, th := range proc.Threads {
 				want[th] = struct{}{}
 			}
 		}
@@ -200,8 +237,8 @@ func ProcessesWF(k *kernel.Kernel) error {
 				return fmt.Errorf("container %#x owned_thrds missing %#x", cptr, th)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ThreadsWF is the paper's threads_wf: every thread is well-formed —
@@ -210,23 +247,26 @@ func ProcessesWF(k *kernel.Kernel) error {
 func ThreadsWF(k *kernel.Kernel) error {
 	pmgr := k.PM
 	queued := make(map[pm.Ptr]pm.Ptr) // thread -> endpoint that queues it
-	for eptr, e := range pmgr.EdptPerms {
+	if err := each(&pmgr.EdptPerms, func(eptr pm.Ptr, e *pm.Endpoint) error {
 		for _, th := range e.Queue {
 			if prev, dup := queued[th]; dup {
 				return fmt.Errorf("thread %#x queued on both %#x and %#x", th, prev, eptr)
 			}
 			queued[th] = eptr
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	for ptr, t := range pmgr.ThrdPerms {
-		p, ok := pmgr.ProcPerms[t.OwningProc]
+	return each(&pmgr.ThrdPerms, func(ptr pm.Ptr, t *pm.Thread) error {
+		p, ok := pmgr.ProcPerms.Get(t.OwningProc)
 		if !ok {
 			return fmt.Errorf("thread %#x has dead process %#x", ptr, t.OwningProc)
 		}
 		if t.OwningCntr != p.Owner {
 			return fmt.Errorf("thread %#x owning_cntr ghost stale", ptr)
 		}
-		c := pmgr.CntrPerms[p.Owner]
+		c, _ := pmgr.CntrPerms.Get(p.Owner)
 		coreOK := false
 		for _, cpu := range c.CPUs {
 			if cpu == t.Core {
@@ -240,13 +280,13 @@ func ThreadsWF(k *kernel.Kernel) error {
 			if e == pm.NoEndpoint {
 				continue
 			}
-			if _, ok := pmgr.EdptPerms[e]; !ok {
+			if _, ok := pmgr.EdptPerms.Get(e); !ok {
 				return fmt.Errorf("thread %#x slot %d references dead endpoint %#x", ptr, i, e)
 			}
 		}
 		switch t.State {
 		case pm.ThreadBlockedSend, pm.ThreadBlockedRecv:
-			ep, ok := pmgr.EdptPerms[t.IPC.WaitingOn]
+			ep, ok := pmgr.EdptPerms.Get(t.IPC.WaitingOn)
 			if !ok {
 				return fmt.Errorf("blocked thread %#x waits on dead endpoint", ptr)
 			}
@@ -267,8 +307,8 @@ func ThreadsWF(k *kernel.Kernel) error {
 				return fmt.Errorf("non-blocked thread %#x has WaitingOn set", ptr)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // EndpointsWF: refcounts equal the number of descriptor slots referencing
@@ -276,24 +316,25 @@ func ThreadsWF(k *kernel.Kernel) error {
 // blocked threads.
 func EndpointsWF(k *kernel.Kernel) error {
 	pmgr := k.PM
-	refs := make(map[pm.Ptr]int, len(pmgr.EdptPerms))
-	for _, t := range pmgr.ThrdPerms {
+	refs := make(map[pm.Ptr]int, pmgr.EdptPerms.Len())
+	pmgr.ThrdPerms.All()(func(_ pm.Ptr, t *pm.Thread) bool {
 		for _, e := range t.Endpoints {
 			if e != pm.NoEndpoint {
 				refs[e]++
 			}
 		}
-	}
+		return true
+	})
 	// IRQ bindings hold endpoint references too (§3: interrupt
 	// dispatch delivers to user-level drivers through endpoints).
 	for irq, e := range k.IRQBindings() {
-		if _, ok := pmgr.EdptPerms[e]; !ok {
+		if _, ok := pmgr.EdptPerms.Get(e); !ok {
 			return fmt.Errorf("irq %d bound to dead endpoint %#x", irq, e)
 		}
 		refs[e]++
 	}
-	for eptr, e := range pmgr.EdptPerms {
-		if _, ok := pmgr.CntrPerms[e.OwnerCntr]; !ok {
+	return each(&pmgr.EdptPerms, func(eptr pm.Ptr, e *pm.Endpoint) error {
+		if _, ok := pmgr.CntrPerms.Get(e.OwnerCntr); !ok {
 			return fmt.Errorf("endpoint %#x owned by dead container", eptr)
 		}
 		if refs[eptr] != e.RefCount {
@@ -309,7 +350,7 @@ func EndpointsWF(k *kernel.Kernel) error {
 				return fmt.Errorf("endpoint %#x queues thread %#x twice", eptr, th)
 			}
 			seen[th] = true
-			t, ok := pmgr.ThrdPerms[th]
+			t, ok := pmgr.ThrdPerms.Get(th)
 			if !ok {
 				return fmt.Errorf("endpoint %#x queues dead thread %#x", eptr, th)
 			}
@@ -321,8 +362,8 @@ func EndpointsWF(k *kernel.Kernel) error {
 				return fmt.Errorf("endpoint %#x queues %v thread %#x", eptr, t.State, th)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // SchedulerWF: run queues hold exactly the runnable threads of their
@@ -362,15 +403,15 @@ func SchedulerWF(k *kernel.Kernel) error {
 		}
 	}
 	// Every runnable/running thread is placed exactly once.
-	for ptr, t := range k.PM.ThrdPerms {
+	return each(&k.PM.ThrdPerms, func(ptr pm.Ptr, t *pm.Thread) error {
 		switch t.State {
 		case pm.ThreadRunnable, pm.ThreadRunning:
 			if _, ok := placed[ptr]; !ok {
 				return fmt.Errorf("%v thread %#x lost by the scheduler", t.State, ptr)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // MemoryWF is the §4.2 safety and leak-freedom theorem, executably:
@@ -402,18 +443,10 @@ func MemoryWF(k *kernel.Kernel) error {
 	}
 	// Process-manager closure: exactly the object pages.
 	objPages := mem.NewPageSet()
-	for p := range k.PM.CntrPerms {
-		objPages.Insert(p)
-	}
-	for p := range k.PM.ProcPerms {
-		objPages.Insert(p)
-	}
-	for p := range k.PM.ThrdPerms {
-		objPages.Insert(p)
-	}
-	for p := range k.PM.EdptPerms {
-		objPages.Insert(p)
-	}
+	insertPtrs(objPages, &k.PM.CntrPerms)
+	insertPtrs(objPages, &k.PM.ProcPerms)
+	insertPtrs(objPages, &k.PM.ThrdPerms)
+	insertPtrs(objPages, &k.PM.EdptPerms)
 	pmOwned := owned.ProcessMgr
 	if !objPages.Equal(pmOwned) {
 		return fmt.Errorf("process-manager closure %d pages, allocator says %d",
@@ -422,12 +455,15 @@ func MemoryWF(k *kernel.Kernel) error {
 	// Virtual-memory closure: union of per-process table closures,
 	// pairwise disjoint.
 	ptPages := mem.NewPageSet()
-	for ptr, proc := range k.PM.ProcPerms {
+	if err := each(&k.PM.ProcPerms, func(ptr pm.Ptr, proc *pm.Process) error {
 		cl := proc.PageTable.PageClosure()
 		if !cl.Disjoint(ptPages) {
 			return fmt.Errorf("page-table closure of %#x overlaps another", ptr)
 		}
 		ptPages.Union(cl)
+		return nil
+	}); err != nil {
+		return err
 	}
 	ptOwned := owned.PageTable
 	if !ptPages.Equal(ptOwned) {
@@ -466,24 +502,27 @@ func MemoryWF(k *kernel.Kernel) error {
 	// messages holding it.
 	refs := make(map[hw.PhysAddr]uint32)
 	countRef := func(_ hw.VirtAddr, e pt.MapEntry) { refs[e.Phys]++ }
-	for _, proc := range k.PM.ProcPerms {
+	k.PM.ProcPerms.All()(func(_ pm.Ptr, proc *pm.Process) bool {
 		proc.PageTable.EachMapping(countRef)
-	}
+		return true
+	})
 	for _, d := range k.IOMMU.Domains() {
 		d.Table.EachMapping(countRef)
 	}
-	for _, t := range k.PM.ThrdPerms {
+	k.PM.ThrdPerms.All()(func(_ pm.Ptr, t *pm.Thread) bool {
 		if t.State == pm.ThreadBlockedSend && t.IPC.Msg.HasPage {
 			refs[t.IPC.Msg.Page]++
 		}
-	}
-	for _, e := range k.PM.EdptPerms {
+		return true
+	})
+	k.PM.EdptPerms.All()(func(_ pm.Ptr, e *pm.Endpoint) bool {
 		for _, m := range e.Buffer {
 			if m.HasPage {
 				refs[m.Page]++
 			}
 		}
-	}
+		return true
+	})
 	// Ascending order: the lowest bad page is the one named.
 	var refErr error
 	snap.Mapped.Each(func(p hw.PhysAddr) {
@@ -504,13 +543,16 @@ func MemoryWF(k *kernel.Kernel) error {
 		return fmt.Errorf("%d referenced pages not in mapped state", len(refs))
 	}
 	// Per-table structure and refinement against the hardware MMU.
-	for ptr, proc := range k.PM.ProcPerms {
+	if err := each(&k.PM.ProcPerms, func(ptr pm.Ptr, proc *pm.Process) error {
 		if err := proc.PageTable.CheckStructure(); err != nil {
 			return fmt.Errorf("process %#x: %w", ptr, err)
 		}
 		if err := proc.PageTable.CheckRefinement(k.Machine.MMU); err != nil {
 			return fmt.Errorf("process %#x: %w", ptr, err)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	return k.IOMMU.CheckWF()
 }
@@ -520,13 +562,13 @@ func MemoryWF(k *kernel.Kernel) error {
 // (weighted by page size), its table nodes, and its children's quotas.
 func QuotaWF(k *kernel.Kernel) error {
 	pmgr := k.PM
-	for cptr, c := range pmgr.CntrPerms {
+	return each(&pmgr.CntrPerms, func(cptr pm.Ptr, c *pm.Container) error {
 		if c.UsedPages > c.QuotaPages {
 			return fmt.Errorf("container %#x used %d > quota %d", cptr, c.UsedPages, c.QuotaPages)
 		}
 		want := uint64(1) // its own object page
 		for pp := range c.Procs {
-			proc := pmgr.ProcPerms[pp]
+			proc, _ := pmgr.ProcPerms.Get(pp)
 			want += 1 // process object
 			want += uint64(proc.PageTable.NodeCount())
 			for _, e := range proc.PageTable.AddressSpace() {
@@ -541,19 +583,21 @@ func QuotaWF(k *kernel.Kernel) error {
 			}
 		}
 		want += uint64(len(c.OwnedThreads))
-		for _, e := range pmgr.EdptPerms {
+		pmgr.EdptPerms.All()(func(_ pm.Ptr, e *pm.Endpoint) bool {
 			if e.OwnerCntr == cptr {
 				want++
 			}
-		}
+			return true
+		})
 		for _, ch := range c.Children {
-			want += pmgr.CntrPerms[ch].QuotaPages
+			cc, _ := pmgr.CntrPerms.Get(ch)
+			want += cc.QuotaPages
 		}
 		if c.UsedPages != want {
 			return fmt.Errorf("container %#x used %d, recomputed %d", cptr, c.UsedPages, want)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // CPUReservationWF: every container's CPU set is a subset of its
@@ -565,16 +609,16 @@ func QuotaWF(k *kernel.Kernel) error {
 // disjoint sets.)
 func CPUReservationWF(k *kernel.Kernel) error {
 	cores := k.Machine.NumCores()
-	for ptr, c := range k.PM.CntrPerms {
+	return each(&k.PM.CntrPerms, func(ptr pm.Ptr, c *pm.Container) error {
 		for _, cpu := range c.CPUs {
 			if cpu < 0 || cpu >= cores {
 				return fmt.Errorf("container %#x reserves nonexistent core %d", ptr, cpu)
 			}
 		}
 		if c.Parent == 0 {
-			continue
+			return nil
 		}
-		parent := k.PM.CntrPerms[c.Parent]
+		parent, _ := k.PM.CntrPerms.Get(c.Parent)
 		for _, cpu := range c.CPUs {
 			held := false
 			for _, pc := range parent.CPUs {
@@ -586,8 +630,8 @@ func CPUReservationWF(k *kernel.Kernel) error {
 				return fmt.Errorf("container %#x reserves core %d its parent does not hold", ptr, cpu)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // NamedCheck pairs an invariant with a stable name for the obligation

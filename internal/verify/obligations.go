@@ -485,7 +485,7 @@ func AblationObligations() (flat, recursive []Obligation) {
 			return nil, fmt.Errorf("ablation: root child: %v", r.Errno)
 		}
 		frontier := []node{{pm.Ptr(r.Vals[0]), 12000}}
-		for len(k.PM.CntrPerms) < 400 && len(frontier) > 0 {
+		for k.PM.CntrPerms.Len() < 400 && len(frontier) > 0 {
 			parent := frontier[0]
 			frontier = frontier[1:]
 			rp := k.SysNewProcessIn(0, init, parent.ptr)
@@ -508,8 +508,8 @@ func AblationObligations() (flat, recursive []Obligation) {
 				}
 			}
 		}
-		if len(k.PM.CntrPerms) < 100 {
-			return nil, fmt.Errorf("ablation: tree only reached %d containers", len(k.PM.CntrPerms))
+		if k.PM.CntrPerms.Len() < 100 {
+			return nil, fmt.Errorf("ablation: tree only reached %d containers", k.PM.CntrPerms.Len())
 		}
 		return k, nil
 	}

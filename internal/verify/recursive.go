@@ -27,16 +27,16 @@ import (
 // subtrees — the blowup that makes recursive obligations expensive to
 // discharge (§6.2).
 func ContainerTreeWFRecursive(k *kernel.Kernel) error {
-	cm := k.PM.CntrPerms
+	cm := &k.PM.CntrPerms
 	// Reachability and acyclicity by one recursive descent.
-	visited := make(map[pm.Ptr]bool, len(cm))
+	visited := make(map[pm.Ptr]bool, cm.Len())
 	var reach func(ptr pm.Ptr) error
 	reach = func(ptr pm.Ptr) error {
 		if visited[ptr] {
 			return fmt.Errorf("container %#x reachable twice (cycle or sharing)", ptr)
 		}
 		visited[ptr] = true
-		c, ok := cm[ptr]
+		c, ok := cm.Get(ptr)
 		if !ok {
 			return fmt.Errorf("reachable container %#x has no permission", ptr)
 		}
@@ -50,11 +50,11 @@ func ContainerTreeWFRecursive(k *kernel.Kernel) error {
 	if err := reach(k.PM.RootContainer); err != nil {
 		return err
 	}
-	if len(visited) != len(cm) {
-		return fmt.Errorf("%d containers unreachable from root", len(cm)-len(visited))
+	if len(visited) != cm.Len() {
+		return fmt.Errorf("%d containers unreachable from root", cm.Len()-len(visited))
 	}
 	// Per-node recursive re-derivation (no sharing between nodes).
-	for ptr, c := range cm {
+	return each(cm, func(ptr pm.Ptr, c *pm.Container) error {
 		path := k.PM.ResolvePathRecursive(ptr)
 		if len(path) != len(c.Path) || len(path) != c.Depth {
 			return fmt.Errorf("container %#x ghost path length %d, derived %d (depth %d)",
@@ -75,8 +75,8 @@ func ContainerTreeWFRecursive(k *kernel.Kernel) error {
 				return fmt.Errorf("container %#x ghost subtree missing %#x", ptr, s)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // DomainThreadsRecursive computes T_A — all threads of a container

@@ -323,7 +323,7 @@ func TestMutationDanglingThreadCaught(t *testing.T) {
 	r := musts(t)(c.NewThreadIn(0, init, c.K.PM.Thrd(init).OwningProc, 0))
 	tid := pm.Ptr(r.Vals[0])
 	// Remove the permission but leave the process's thread list intact.
-	delete(c.K.PM.ThrdPerms, tid)
+	c.K.PM.ThrdPerms.Delete(tid)
 	if err := ProcessesWF(c.K); err == nil {
 		t.Fatal("dangling thread pointer not caught")
 	}
@@ -604,5 +604,33 @@ func TestMutationHiddenMappingCaught(t *testing.T) {
 		if err == nil || err.Error() != want {
 			t.Fatalf("run %d: got %v, want %q", run, err, want)
 		}
+	}
+}
+
+// TestMutationStaleObjectSlotCaught plants a thread in the permission
+// slot of a page the allocator holds free — a dangling permission, the
+// shape a missed Delete on object teardown would leave. The
+// process-manager closure then counts one page the allocator does not
+// attribute to it.
+func TestMutationStaleObjectSlotCaught(t *testing.T) {
+	var got [2]string
+	for run := range got {
+		c, _ := newChecker(t)
+		if err := MemoryWF(c.K); err != nil {
+			t.Fatalf("unplanted state: %v", err)
+		}
+		owned := c.K.Alloc.AllocatedTo(mem.OwnerProcessMgr).Len()
+		free := c.K.Alloc.FreeListSet(mem.Size4K).Sorted()
+		page := free[len(free)/2]
+		c.K.PM.ThrdPerms.Put(page, &pm.Thread{Ptr: page})
+		want := fmt.Sprintf("process-manager closure %d pages, allocator says %d", owned+1, owned)
+		err := MemoryWF(c.K)
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: got %v, want %q", run, err, want)
+		}
+		got[run] = err.Error()
+	}
+	if got[0] != got[1] {
+		t.Fatalf("runs disagree: %q vs %q", got[0], got[1])
 	}
 }
