@@ -25,7 +25,7 @@ go test ./...
 
 echo "== layer benchmarks (one iteration each, so they cannot rot)"
 go test -run '^$' -bench . -benchtime 1x ./internal/kernel ./internal/mem ./internal/pm ./internal/pt \
-    ./internal/spec ./internal/verify
+    ./internal/spec ./internal/verify ./internal/cluster
 
 echo "== go test -race (kernel/obs+contend/drivers/mem/pm/verify/cluster/shmring shard)"
 # ./internal/obs/... includes the contention observatory

@@ -7,6 +7,7 @@
 package apps
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 
@@ -213,13 +214,25 @@ func (m *Maglev) Forward(clk *hw.Clock, frame []byte) bool {
 	if err != nil {
 		return false
 	}
-	idx := m.Lookup(p.Tuple())
+	_, err = m.Steer(frame, p.Tuple())
+	return err == nil
+}
+
+// ErrNoBackend is Steer's error for a flow no active backend owns.
+var ErrNoBackend = errors.New("apps: maglev: no active backend")
+
+// Steer is Forward's routing step on a parsed frame: look up flow t's
+// backend and rewrite frame's destination address to it. It returns
+// the backend index, or ErrNoBackend, or the rewrite's error for a
+// frame too short to carry an IPv4 header.
+func (m *Maglev) Steer(frame []byte, t netproto.FiveTuple) (int, error) {
+	idx := m.Lookup(t)
 	if idx < 0 {
-		return false
+		return -1, ErrNoBackend
 	}
 	if err := netproto.RewriteDstIP(frame, m.vips[idx]); err != nil {
-		return false
+		return -1, err
 	}
 	m.Forwarded++
-	return true
+	return idx, nil
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -109,6 +110,9 @@ func TestMaglevDrainedTable(t *testing.T) {
 	if idx := m.Lookup(tuple); idx != -1 {
 		t.Fatalf("lookup on drained table = %d, want -1", idx)
 	}
+	if _, err := m.Steer(make([]byte, 64), tuple); !errors.Is(err, ErrNoBackend) {
+		t.Fatalf("steer on drained table: %v, want ErrNoBackend", err)
+	}
 	for i, c := range m.TableCounts() {
 		if c != 0 {
 			t.Fatalf("drained table still counts %d positions for backend %d", c, i)
@@ -120,6 +124,10 @@ func TestMaglevDrainedTable(t *testing.T) {
 	}
 	if idx := m.Lookup(tuple); idx != 2 {
 		t.Fatalf("lookup after graft = %d, want 2", idx)
+	}
+	// A frame too short to rewrite is a different failure.
+	if _, err := m.Steer([]byte{1, 2, 3}, tuple); err == nil || errors.Is(err, ErrNoBackend) {
+		t.Fatalf("steer of a truncated frame: %v, want a rewrite error", err)
 	}
 }
 

@@ -11,15 +11,19 @@ import (
 
 // Regression comparator against the frozen reference dump
 // (bench_all_reference.txt, the seed's `atmo-bench` output). Only
-// deterministic simulated quantities gate: cycle latencies (higher is
-// worse) and simulated throughputs (lower is worse). Host-dependent
-// measurements (wall-clock seconds/ms of the obligation suite) and
-// static quantities (line counts, ratios, paper-only history) are
-// never compared — they move with the build machine, not the model.
+// deterministic simulated quantities gate: cycle latencies, lost
+// requests and simulated throughputs. The simulation is deterministic,
+// so they gate exactly: a row passes only if its measured value,
+// printed the way the dump prints it, is the dump's string. Host-
+// dependent measurements (wall-clock seconds/ms of the obligation
+// suite) and static quantities (line counts, ratios, paper-only
+// history) are never compared — they move with the build machine, not
+// the model.
 
 // RefRow is one measured cell of the reference dump.
 type RefRow struct {
 	Value float64
+	Text  string // the measured column as printed
 	Unit  string
 }
 
@@ -60,7 +64,7 @@ func ParseReference(r io.Reader) (Reference, error) {
 		if len(unit) == 0 {
 			continue
 		}
-		cur[strings.TrimSpace(fields[0])] = RefRow{Value: v, Unit: unit[0]}
+		cur[strings.TrimSpace(fields[0])] = RefRow{Value: v, Text: fields[1], Unit: unit[0]}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("bench: reading reference: %w", err)
@@ -71,18 +75,21 @@ func ParseReference(r io.Reader) (Reference, error) {
 	return ref, nil
 }
 
-// Gate direction per unit. Everything else is skipped.
+// Gate direction per unit, used to label a mismatch. Everything else
+// is skipped.
 var (
 	lowerIsBetter  = map[string]bool{"cycles": true, "reqs": true}
 	higherIsBetter = map[string]bool{"Mpps": true, "IOPS": true, "Kreq/s": true, "Mreq/s": true, "Mops/s": true}
 )
 
 // CompareToReference checks results against ref and returns one line
-// per regression beyond tolPct percent in the unit's worse direction.
-// Rows with a zero on either side, unit mismatches, unknown units, and
+// per gated row whose printed value differs from the reference's,
+// labelled worse or better by the unit's direction. Either way the
+// simulation moved, and the reference must be re-pinned with the
+// change that moved it. Unit mismatches, ungated units, and rows or
 // experiments absent from the reference are skipped.
-func CompareToReference(results []Result, ref Reference, tolPct float64) []string {
-	var regressions []string
+func CompareToReference(results []Result, ref Reference) []string {
+	var mismatches []string
 	for _, res := range results {
 		refRows, ok := ref[res.ID]
 		if !ok {
@@ -90,28 +97,28 @@ func CompareToReference(results []Result, ref Reference, tolPct float64) []strin
 		}
 		for _, row := range res.Rows {
 			rr, ok := refRows[row.Name]
-			if !ok || rr.Value == 0 || row.Value == 0 {
+			if !ok {
 				continue
 			}
 			uf := strings.Fields(row.Unit)
 			if len(uf) == 0 || uf[0] != rr.Unit {
 				continue
 			}
-			var worsePct float64
-			switch unit := uf[0]; {
-			case lowerIsBetter[unit]:
-				worsePct = 100 * (row.Value - rr.Value) / rr.Value
-			case higherIsBetter[unit]:
-				worsePct = 100 * (rr.Value - row.Value) / rr.Value
-			default:
+			unit := uf[0]
+			if !lowerIsBetter[unit] && !higherIsBetter[unit] {
 				continue
 			}
-			if worsePct > tolPct {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s/%s: %s %s vs reference %s (%.1f%% worse)",
-					res.ID, row.Name, formatVal(row.Value), rr.Unit, formatVal(rr.Value), worsePct))
+			got := formatVal(row.Value)
+			if got == rr.Text {
+				continue
 			}
+			dir := "worse"
+			if lowerIsBetter[unit] == (row.Value < rr.Value) {
+				dir = "better"
+			}
+			mismatches = append(mismatches, fmt.Sprintf(
+				"%s/%s: %s %s vs reference %s (%s)", res.ID, row.Name, got, rr.Unit, rr.Text, dir))
 		}
 	}
-	return regressions
+	return mismatches
 }

@@ -74,11 +74,11 @@ func TestCompareDirections(t *testing.T) {
 	ref := fixtureRef(t)
 	res := []Result{
 		{ID: "table3", Rows: []Row{
-			{Name: "call/reply atmosphere", Value: 1111, Unit: "cycles"}, // +11.1% latency: worse
-			{Name: "map a page atmosphere", Value: 1500, Unit: "cycles"}, // faster: fine
+			{Name: "call/reply atmosphere", Value: 1111, Unit: "cycles"}, // more latency: worse
+			{Name: "map a page atmosphere", Value: 1500, Unit: "cycles"}, // less latency: better
 		}},
 		{ID: "fig4", Rows: []Row{
-			{Name: "64B linked", Value: 17.0, Unit: "Mpps"}, // -15% throughput: worse
+			{Name: "64B linked", Value: 17.0, Unit: "Mpps"}, // less throughput: worse
 			{Name: "host seconds", Value: 99.0, Unit: "s"},  // host unit: skipped
 		}},
 		{ID: "table2", Rows: []Row{
@@ -88,31 +88,46 @@ func TestCompareDirections(t *testing.T) {
 			{Name: "anything", Value: 1, Unit: "cycles"}, // not in reference: skipped
 		}},
 	}
-	regs := CompareToReference(res, ref, 10)
-	if len(regs) != 2 {
-		t.Fatalf("got %d regressions, want 2:\n%s", len(regs), strings.Join(regs, "\n"))
+	regs := CompareToReference(res, ref)
+	if len(regs) != 3 {
+		t.Fatalf("got %d mismatches, want 3:\n%s", len(regs), strings.Join(regs, "\n"))
 	}
-	if !strings.Contains(regs[0], "call/reply atmosphere") || !strings.Contains(regs[0], "worse") {
-		t.Errorf("latency regression not reported: %q", regs[0])
-	}
-	if !strings.Contains(regs[1], "64B linked") {
-		t.Errorf("throughput regression not reported: %q", regs[1])
+	for i, want := range []string{
+		"table3/call/reply atmosphere: 1111 cycles vs reference 1000 (worse)",
+		"table3/map a page atmosphere: 1500 cycles vs reference 2000 (better)",
+		"fig4/64B linked: 17 Mpps vs reference 20.00 (worse)",
+	} {
+		if regs[i] != want {
+			t.Errorf("mismatch %d = %q, want %q", i, regs[i], want)
+		}
 	}
 }
 
-func TestCompareTolerance(t *testing.T) {
+// TestCompareExact: gated rows compare at the dump's printed precision
+// — one cycle off a Table 3 row fails, a difference the dump cannot
+// print passes.
+func TestCompareExact(t *testing.T) {
 	ref := fixtureRef(t)
-	within := []Result{{ID: "table3", Rows: []Row{
-		{Name: "call/reply atmosphere", Value: 1099, Unit: "cycles"}, // +9.9%
+	planted := []Result{{ID: "table3", Rows: []Row{
+		{Name: "call/reply atmosphere", Value: 1001, Unit: "cycles"},
 	}}}
-	if regs := CompareToReference(within, ref, 10); len(regs) != 0 {
-		t.Fatalf("within-tolerance delta flagged: %v", regs)
+	if regs := CompareToReference(planted, ref); len(regs) != 1 ||
+		regs[0] != "table3/call/reply atmosphere: 1001 cycles vs reference 1000 (worse)" {
+		t.Fatalf("planted +1-cycle row: %v", regs)
+	}
+	same := []Result{
+		{ID: "table3", Rows: []Row{{Name: "call/reply atmosphere", Value: 1000, Unit: "cycles"}}},
+		{ID: "fig4", Rows: []Row{{Name: "64B linked", Value: 20.004, Unit: "Mpps"}}}, // prints 20.00
+		{ID: "fig4", Rows: []Row{{Name: "64B linked", Value: 19.996, Unit: "Mpps"}}}, // prints 20.00
+	}
+	if regs := CompareToReference(same, ref); len(regs) != 0 {
+		t.Fatalf("rows equal at printed precision flagged: %v", regs)
 	}
 	zero := []Result{{ID: "table3", Rows: []Row{
 		{Name: "call/reply atmosphere", Value: 0, Unit: "cycles"},
 	}}}
-	if regs := CompareToReference(zero, ref, 10); len(regs) != 0 {
-		t.Fatalf("zero measurement flagged: %v", regs)
+	if regs := CompareToReference(zero, ref); len(regs) != 1 {
+		t.Fatalf("a row that fell to zero passed: %v", regs)
 	}
 }
 
@@ -167,16 +182,29 @@ chaos throughput            800.00      -  Kreq/s
 		{Name: "chaos requests lost", Value: 20, Unit: "reqs"},         // more lost requests: worse
 		{Name: "chaos throughput", Value: 500, Unit: "Kreq/s"},         // lower throughput: worse
 	}}}
-	regs := CompareToReference(res, ref, 10)
+	regs := CompareToReference(res, ref)
 	if len(regs) != 3 {
-		t.Fatalf("got %d regressions, want 3:\n%s", len(regs), strings.Join(regs, "\n"))
+		t.Fatalf("got %d mismatches, want 3:\n%s", len(regs), strings.Join(regs, "\n"))
 	}
+	for _, r := range regs {
+		if !strings.HasSuffix(r, "(worse)") {
+			t.Errorf("regression not labelled worse: %q", r)
+		}
+	}
+	// An improvement also moves the simulation: it is flagged, as
+	// better, so the reference is re-pinned with the change.
 	improved := []Result{{ID: "cluster", Rows: []Row{
 		{Name: "chaos reconverge kill", Value: 100000, Unit: "cycles"},
 		{Name: "chaos requests lost", Value: 2, Unit: "reqs"},
 		{Name: "chaos throughput", Value: 900, Unit: "Kreq/s"},
 	}}}
-	if regs := CompareToReference(improved, ref, 10); len(regs) != 0 {
-		t.Fatalf("improvements flagged as regressions: %v", regs)
+	regs = CompareToReference(improved, ref)
+	if len(regs) != 3 {
+		t.Fatalf("got %d mismatches for improvements, want 3:\n%s", len(regs), strings.Join(regs, "\n"))
+	}
+	for _, r := range regs {
+		if !strings.HasSuffix(r, "(better)") {
+			t.Errorf("improvement not labelled better: %q", r)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"atmosphere/internal/apps"
 	"atmosphere/internal/netproto"
@@ -36,6 +37,7 @@ type client struct {
 	ip     netproto.IPv4
 	mac    netproto.MAC
 	flows  []flow
+	busy   []uint64 // bit i set iff flows[i] is not idle
 	cursor int
 
 	latency *obs.Histogram
@@ -58,6 +60,7 @@ func newClient(c *Cluster) *client {
 		mac: netproto.MAC{2, 0, 0, 0, 0, 9},
 	}
 	cl.flows = make([]flow, c.cfg.Flows)
+	cl.busy = make([]uint64, (c.cfg.Flows+63)/64)
 	for i := range cl.flows {
 		cl.flows[i].needsSet = true // first request seeds the key
 	}
@@ -76,7 +79,8 @@ func newClient(c *Cluster) *client {
 func flowPort(i int) uint16 { return uint16(40000 + i) }
 
 // step is the per-tick client work: admit Rate new requests, then run
-// the retry state machine over in-flight flows in index order.
+// the retry state machine over in-flight flows in index order. Only
+// busy flows are visited: the busy bitset's set bits, ascending.
 func (cl *client) step(tick uint64) {
 	c := cl.c
 	for n := 0; n < c.cfg.Rate; n++ {
@@ -91,46 +95,55 @@ func (cl *client) step(tick uint64) {
 			f.op = apps.KVSet
 		}
 		f.state = flowWaiting
+		cl.busy[i/64] |= 1 << (i % 64)
 		f.firstAt = tick
 		f.sentAt = tick
 		f.attempts = 0
 		cl.transmit(i, c.dist.BeginRequest(i, tick))
 		c.rep.Sent++
 	}
-	for i := range cl.flows {
-		f := &cl.flows[i]
-		switch f.state {
-		case flowWaiting:
-			if tick-f.sentAt < c.cfg.DeadlineTicks {
-				continue
-			}
-			c.rep.Timeouts++
-			c.mix(evTimeout, uint64(i), tick)
-			if f.attempts >= c.cfg.RetryBudget {
-				c.rep.GaveUp++
-				c.mix(evGaveUp, uint64(i), tick)
-				c.dist.Abandon(i, tick)
-				f.state = flowIdle
-				continue
-			}
-			f.attempts++
-			backoff := c.cfg.BackoffTicks << (f.attempts - 1)
-			if backoff > c.cfg.BackoffCapTicks {
-				backoff = c.cfg.BackoffCapTicks
-			}
-			f.nextTryAt = tick + backoff
-			f.state = flowBackoff
-			c.dist.Timeout(i, tick)
-		case flowBackoff:
-			if tick < f.nextTryAt {
-				continue
-			}
-			f.state = flowWaiting
-			f.sentAt = tick
-			cl.transmit(i, c.dist.Retry(i, tick))
-			c.rep.Retries++
-			c.mix(evRetry, uint64(i), tick)
+	for w, word := range cl.busy {
+		for ; word != 0; word &= word - 1 {
+			cl.retry(w*64+bits.TrailingZeros64(word), tick)
 		}
+	}
+}
+
+// retry runs busy flow i's deadline and backoff state machine.
+func (cl *client) retry(i int, tick uint64) {
+	c := cl.c
+	f := &cl.flows[i]
+	switch f.state {
+	case flowWaiting:
+		if tick-f.sentAt < c.cfg.DeadlineTicks {
+			return
+		}
+		c.rep.Timeouts++
+		c.mix(evTimeout, uint64(i), tick)
+		if f.attempts >= c.cfg.RetryBudget {
+			c.rep.GaveUp++
+			c.mix(evGaveUp, uint64(i), tick)
+			c.dist.Abandon(i, tick)
+			cl.idle(i)
+			return
+		}
+		f.attempts++
+		backoff := c.cfg.BackoffTicks << (f.attempts - 1)
+		if backoff > c.cfg.BackoffCapTicks {
+			backoff = c.cfg.BackoffCapTicks
+		}
+		f.nextTryAt = tick + backoff
+		f.state = flowBackoff
+		c.dist.Timeout(i, tick)
+	case flowBackoff:
+		if tick < f.nextTryAt {
+			return
+		}
+		f.state = flowWaiting
+		f.sentAt = tick
+		cl.transmit(i, c.dist.Retry(i, tick))
+		c.rep.Retries++
+		c.mix(evRetry, uint64(i), tick)
 	}
 }
 
@@ -234,17 +247,21 @@ func (cl *client) consume(data []byte, tick uint64) {
 		}
 		f.needsSet = false
 	}
-	f.state = flowIdle
+	cl.idle(i)
+}
+
+// idle frees flow i.
+func (cl *client) idle(i int) {
+	cl.flows[i].state = flowIdle
+	cl.busy[i/64] &^= 1 << (i % 64)
 }
 
 // inFlight counts flows with a request outstanding (the denominator of
 // the <5%-lost SLO at kill time).
 func (cl *client) inFlight() uint64 {
-	var n uint64
-	for i := range cl.flows {
-		if cl.flows[i].state != flowIdle {
-			n++
-		}
+	var n int
+	for _, w := range cl.busy {
+		n += bits.OnesCount64(w)
 	}
-	return n
+	return uint64(n)
 }

@@ -10,6 +10,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"atmosphere/internal/apps"
@@ -130,6 +131,8 @@ type Cluster struct {
 	nameStall, namePartition obs.NameID
 
 	frame [2048]byte // scratch for reply/probe construction
+	bufs  bufPool    // frame buffers of every in-flight and queued frame
+	due   []inflight // scratch for link.due, reused every tick
 	rep   Report
 	hash  uint64
 }
@@ -251,7 +254,7 @@ func (c *Cluster) injectFaults() {
 	for _, l := range c.links {
 		if hit, param := c.inj.ShouldFor(faults.LinkPartition, uint64(l.id)); hit {
 			l.partitionedUntil = c.tick + ticksFromCycles(param)
-			dropped := l.flush()
+			dropped := l.flush(&c.bufs)
 			c.rep.DroppedLink += dropped
 			c.mix(evPartition, uint64(l.id), dropped)
 			c.instant(c.namePartition, uint64(l.id))
@@ -280,7 +283,7 @@ func (c *Cluster) killMachine(m *machine) {
 	m.diedAt = c.tick
 	m.stalledUntil = 0
 	c.rep.DroppedDead += uint64(len(m.inbox))
-	m.inbox = m.inbox[:0]
+	m.inbox = c.bufs.putAll(m.inbox)
 	m.Kills++
 	c.rep.Kills++
 	c.mix(evKill, uint64(m.id), c.tick)
@@ -319,23 +322,28 @@ func (c *Cluster) supervise() {
 
 // deliver moves due frames: the client link's LB-bound frames into the
 // LB inbox and client-bound frames into the client; backend links
-// likewise by direction.
+// likewise by direction. A frame the client consumed or a dead machine
+// dropped returns its buffer here; one queued in an inbox keeps it
+// until the machine drains (or dies with) the inbox.
 func (c *Cluster) deliver() {
 	for _, l := range c.links {
-		for _, f := range l.due(c.tick) {
+		c.due = l.due(c.tick, c.due[:0])
+		for _, f := range c.due {
 			c.rep.Delivered++
 			c.mix(evDeliver, uint64(l.id), uint64(len(f.data)))
 			if f.toClient {
 				c.client.consume(f.data, c.tick)
-			} else {
-				m := c.machineFor(l, f)
-				if m == nil || !m.alive {
-					c.rep.DroppedDead++
-					continue
-				}
-				c.distArrive(f.data, m.id)
-				m.inbox = append(m.inbox, f.data)
+				c.bufs.put(f.data)
+				continue
 			}
+			m := c.machineFor(l, f)
+			if m == nil || !m.alive {
+				c.rep.DroppedDead++
+				c.bufs.put(f.data)
+				continue
+			}
+			c.distArrive(f.data, m.id)
+			m.inbox = append(m.inbox, f.data)
 		}
 	}
 }
@@ -379,12 +387,12 @@ func (c *Cluster) lbStep() {
 			c.distSpan(p.Payload, lbNode, dist.HopLBReturn, 3, base, before, clk)
 			c.send(c.links[0], data, true, false)
 		default:
-			idx := c.maglev.Lookup(p.Tuple())
-			if idx < 0 {
+			idx, err := c.maglev.Steer(data, p.Tuple())
+			if errors.Is(err, apps.ErrNoBackend) {
 				c.rep.DroppedNoBackend++
 				continue
 			}
-			if err := netproto.RewriteDstIP(data, backendIP(idx)); err != nil {
+			if err != nil {
 				c.rep.DroppedMalformed++
 				continue
 			}
@@ -400,7 +408,7 @@ func (c *Cluster) lbStep() {
 	if len(lb.inbox) > 0 {
 		lb.crossKernel()
 	}
-	lb.inbox = lb.inbox[:0]
+	lb.inbox = c.bufs.putAll(lb.inbox)
 }
 
 // backendsStep serves every live backend's inbox: health probes are
@@ -466,7 +474,7 @@ func (c *Cluster) backendsStep() {
 		if len(m.inbox) > 0 {
 			m.crossKernel()
 		}
-		m.inbox = m.inbox[:0]
+		m.inbox = c.bufs.putAll(m.inbox)
 	}
 }
 
@@ -477,7 +485,7 @@ func (c *Cluster) send(l *link, data []byte, toClient, toLB bool) {
 		c.mix(evLinkDrop, uint64(l.id), c.tick)
 		return
 	}
-	buf := append([]byte(nil), data...)
+	buf := c.bufs.get(data)
 	delay := uint64(1) + l.delayExtra
 	l.delayExtra = 0
 	if l.corruptNext {

@@ -49,18 +49,19 @@ func newMachine(id int, name string, storeCap uint64) (*machine, error) {
 		id: id, name: name, storeCap: storeCap,
 		mac: netproto.MAC{2, 0, 0, 0, 0, byte(id)},
 	}
-	if err := m.boot(); err != nil {
+	k, tid, err := kernel.Boot(machineConfig())
+	if err != nil {
+		return nil, err
+	}
+	if err := m.start(k, tid); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// boot starts a fresh generation: new kernel, new (empty) store.
-func (m *machine) boot() error {
-	k, tid, err := kernel.Boot(machineConfig())
-	if err != nil {
-		return err
-	}
+// start begins a generation on a freshly booted kernel, with a new
+// (empty) store.
+func (m *machine) start(k *kernel.Kernel, tid pm.Ptr) error {
 	m.k = k
 	m.tid = tid
 	if m.storeCap > 0 {
@@ -78,11 +79,18 @@ func (m *machine) boot() error {
 
 // respawn replaces the dead generation. Store state is NOT carried
 // over: a machine's memory dies with it, which is exactly what the
-// client's read-repair path exists to absorb.
+// client's read-repair path exists to absorb. The kernel reboots in
+// place on the same simulated machine, whose memory is zeroed, so a
+// respawn sees exactly what a first boot sees without allocating a
+// new PhysMem; the dead generation's cycles are retired first.
 func (m *machine) respawn() error {
 	m.retiredCycles += m.k.Machine.TotalCycles()
 	m.gen++
-	return m.boot()
+	k, tid, err := kernel.Reboot(m.k)
+	if err != nil {
+		return err
+	}
+	return m.start(k, tid)
 }
 
 // ready reports whether the machine processes its inbox this tick

@@ -1,5 +1,7 @@
 package cluster
 
+import "math/bits"
+
 // FNV-1a, matching the fault injector's trace hash so the two compose
 // into one replayability check.
 const (
@@ -30,14 +32,34 @@ const (
 	evProbeMiss
 )
 
-// mix folds one event into the run's trace hash.
-func (c *Cluster) mix(code, a, b uint64) {
-	for _, w := range [3]uint64{code, a, b} {
-		for i := 0; i < 8; i++ {
-			c.hash ^= (w >> (8 * i)) & 0xff
-			c.hash *= fnvPrime
-		}
+// fnvPrimePow[k] is fnvPrime^k (mod 2^64).
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
 	}
+	return p
+}()
+
+// mix folds one event into the run's trace hash: FNV-1a over the 24
+// little-endian bytes of code, a and b. A zero byte's xor is the
+// identity, so a word's high zero bytes reduce to one multiply by
+// fnvPrime^k; only the bytes below bits.Len64(w) are folded one at a
+// time. The result is bit-identical to the byte-at-a-time loop.
+func (c *Cluster) mix(code, a, b uint64) {
+	h := mixWord(c.hash, code)
+	h = mixWord(h, a)
+	c.hash = mixWord(h, b)
+}
+
+func mixWord(h, w uint64) uint64 {
+	n := (bits.Len64(w) + 7) / 8
+	for i := 0; i < n; i++ {
+		h ^= w & 0xff
+		h *= fnvPrime
+		w >>= 8
+	}
+	return h * fnvPrimePow[8-n]
 }
 
 // Report is a run's complete accounting. Everything is cumulative

@@ -53,6 +53,17 @@ func NewMachine(cfg Config) *Machine {
 	return m
 }
 
+// PowerCycle returns m to the state NewMachine gives a machine of its
+// shape: memory zeroed in place (the backing array is reused, not
+// reallocated) and fresh cores whose clocks read zero and whose TLBs,
+// of the same size, are empty.
+func (m *Machine) PowerCycle() {
+	clear(m.Mem.data)
+	for i, c := range m.cores {
+		m.cores[i] = &Core{ID: i, TLB: NewTLB(len(c.TLB.entries))}
+	}
+}
+
 // NumCores returns the number of cores.
 func (m *Machine) NumCores() int { return len(m.cores) }
 

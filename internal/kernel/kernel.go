@@ -199,7 +199,21 @@ type Kernel struct {
 // container holding every non-reserved page, plus an initial process and
 // thread on core 0 (the init thread).
 func Boot(cfg hw.Config) (*Kernel, pm.Ptr, error) {
-	machine := hw.NewMachine(cfg)
+	return bootOn(hw.NewMachine(cfg))
+}
+
+// Reboot power-cycles k's machine (memory zeroed in place, fresh cores,
+// TLBs and clocks of the same shape) and boots a new kernel on it. The
+// new kernel is the one Boot returns for a machine of that shape, cycle
+// for cycle; only the host memory is reused. k must not be used again.
+func Reboot(k *Kernel) (*Kernel, pm.Ptr, error) {
+	k.Machine.PowerCycle()
+	return bootOn(k.Machine)
+}
+
+// bootOn brings up a kernel on a powered-on machine: zeroed memory and
+// every core's clock at zero.
+func bootOn(machine *hw.Machine) (*Kernel, pm.Ptr, error) {
 	kclock := &hw.Clock{}
 	alloc := mem.NewAllocator(machine.Mem, kclock, 1)
 	k := &Kernel{
@@ -219,7 +233,7 @@ func Boot(cfg hw.Config) (*Kernel, pm.Ptr, error) {
 	// IOMMU root page already taken.
 	// (its own object page is the first page it consumes).
 	quota := uint64(alloc.FreeCount4K())
-	p, err := pm.New(alloc, kclock, cfg.Cores, quota)
+	p, err := pm.New(alloc, kclock, machine.NumCores(), quota)
 	if err != nil {
 		return nil, 0, err
 	}
