@@ -24,6 +24,8 @@ echo "== go test ./..."
 go test ./...
 
 echo "== layer benchmarks (one iteration each, so they cannot rot)"
+# Includes verify.BenchmarkCheckedTransition: Ψ twice, the spec
+# predicate and TotalWF per transition, one address space dirtied.
 go test -run '^$' -bench . -benchtime 1x ./internal/kernel ./internal/mem ./internal/pm ./internal/pt \
     ./internal/spec ./internal/verify ./internal/cluster
 

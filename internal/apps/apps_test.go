@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -358,5 +359,67 @@ func TestKVServePayload(t *testing.T) {
 	// Truncated payloads are rejected, not served.
 	if s.ServePayload(clk, buf[:2]) {
 		t.Fatal("truncated payload was served")
+	}
+}
+
+// serveStream serves n seeded GET/SET frames over a 64-key space and
+// returns every reply frame, concatenated, and the cycles charged.
+func serveStream(t *testing.T, s *KVStore, seed uint64, n int) ([]byte, uint64) {
+	t.Helper()
+	r := hw.NewRand(seed)
+	var clk hw.Clock
+	var out []byte
+	frame := make([]byte, 256)
+	var req [64]byte
+	for i := 0; i < n; i++ {
+		key := []byte(fmt.Sprintf("key%05d", r.Intn(64)))
+		op, val := byte(KVGet), []byte(nil)
+		if r.Intn(3) == 0 {
+			op, val = KVSet, []byte(fmt.Sprintf("val%05d", r.Intn(100000)))
+		}
+		rn, err := BuildKVRequest(req[:], op, key, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, err := netproto.BuildUDP(frame, netproto.MAC{1}, netproto.MAC{2},
+			netproto.IPv4{10, 0, 0, 1}, netproto.IPv4{10, 0, 0, 2}, 7, 11211, req[:rn])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Serve(&clk, frame[:fn]) {
+			t.Fatalf("request %d refused", i)
+		}
+		out = append(out, frame[:fn]...)
+	}
+	return out, clk.Cycles()
+}
+
+// TestKVStoreResetMatchesFresh: a store that has served traffic and is
+// then Reset answers a seeded request stream byte for byte like a
+// freshly built store, with the same cycle charges and counters.
+func TestKVStoreResetMatchesFresh(t *testing.T) {
+	used, err := NewKVStore(256, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveStream(t, used, 1, 400)
+	used.Reset()
+	fresh, err := NewKVStore(256, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotCycles := serveStream(t, used, 2, 400)
+	want, wantCycles := serveStream(t, fresh, 2, 400)
+	if !bytes.Equal(got, want) || gotCycles != wantCycles {
+		t.Fatalf("reset store replies differ from a fresh store's (cycles %d vs %d)", gotCycles, wantCycles)
+	}
+	if used.Used() != fresh.Used() || used.Gets != fresh.Gets || used.Sets != fresh.Sets ||
+		used.Hits != fresh.Hits || used.Misses != fresh.Misses {
+		t.Fatalf("reset store counters %d/%d/%d/%d/%d, fresh %d/%d/%d/%d/%d",
+			used.Used(), used.Gets, used.Sets, used.Hits, used.Misses,
+			fresh.Used(), fresh.Gets, fresh.Sets, fresh.Hits, fresh.Misses)
+	}
+	if fresh.Hits == 0 || fresh.Misses == 0 {
+		t.Fatal("request stream exercised no hit or no miss")
 	}
 }

@@ -53,6 +53,14 @@ func NewKVStore(capacity uint64, keySize, valSize int) (*KVStore, error) {
 	return s, nil
 }
 
+// Reset empties the store in place: every slot, the entry count and
+// the request counters read as a fresh NewKVStore of the same shape.
+func (s *KVStore) Reset() {
+	clear(s.slots)
+	s.used = 0
+	s.Gets, s.Sets, s.Hits, s.Misses = 0, 0, 0, 0
+}
+
 func (s *KVStore) hash(key []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(key)

@@ -59,12 +59,16 @@ func newMachine(id int, name string, storeCap uint64) (*machine, error) {
 	return m, nil
 }
 
-// start begins a generation on a freshly booted kernel, with a new
-// (empty) store.
+// start begins a generation on a freshly booted kernel, with an empty
+// store: the dead generation's store emptied in place, or a new one on
+// first boot.
 func (m *machine) start(k *kernel.Kernel, tid pm.Ptr) error {
 	m.k = k
 	m.tid = tid
-	if m.storeCap > 0 {
+	switch {
+	case m.store != nil:
+		m.store.Reset() // same storeCap and key/value sizes every generation
+	case m.storeCap > 0:
 		s, err := apps.NewKVStore(m.storeCap, 8, 8)
 		if err != nil {
 			return err

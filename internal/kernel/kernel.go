@@ -465,7 +465,7 @@ func (k *Kernel) CoreCaches() *mem.CoreCaches { return k.caches }
 // allocator's OwnerPCache closure. Empty when caches are disabled.
 func (k *Kernel) PageCachePages() mem.PageSet {
 	if k.caches == nil {
-		return mem.NewPageSet()
+		return mem.PageSet{}
 	}
 	return k.caches.Pages()
 }

@@ -17,19 +17,7 @@ func fuzzBatchSeeds(f *testing.F) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		f.Add(GenerateBatched(seed, 120).Encode())
 	}
-	files, err := filepath.Glob(filepath.Join("testdata", "repro_batch_*.repro"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, file := range files {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			f.Fatal(err)
-		}
-		p, err := ParseRepro(data)
-		if err != nil {
-			f.Fatalf("%s: %v", file, err)
-		}
+	for _, p := range loadRepros(f, "repro_batch_*.repro") {
 		f.Add(p.Encode())
 	}
 }

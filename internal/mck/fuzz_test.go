@@ -18,21 +18,30 @@ func fuzzSeeds(f *testing.F) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		f.Add(Generate(seed, 120).Encode())
 	}
-	files, err := filepath.Glob(filepath.Join("testdata", "repro_*.repro"))
-	if err != nil {
-		f.Fatal(err)
+	for _, p := range loadRepros(f, "repro_*.repro") {
+		f.Add(p.Encode())
 	}
+}
+
+// loadRepros parses every testdata repro whose name matches pattern.
+func loadRepros(tb testing.TB, pattern string) []Program {
+	files, err := filepath.Glob(filepath.Join("testdata", pattern))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var ps []Program
 	for _, file := range files {
 		data, err := os.ReadFile(file)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		p, err := ParseRepro(data)
 		if err != nil {
-			f.Fatalf("%s: %v", file, err)
+			tb.Fatalf("%s: %v", file, err)
 		}
-		f.Add(p.Encode())
+		ps = append(ps, p)
 	}
+	return ps
 }
 
 // FuzzDiff decodes arbitrary bytes into a syscall program (decoding is

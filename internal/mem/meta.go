@@ -80,9 +80,9 @@ const nilIdx = int32(-1)
 
 // PageMeta is one entry of the page metadata array — the Linux-style
 // struct-page array the paper describes — as Allocator.Meta returns it.
-// The allocator stores each entry in two parts: State, Size and Owner
-// packed into one pageKind byte per frame, and the rest in a pageLinks
-// record. The Prev/Next links make the page a node of its free list;
+// The allocator stores each entry in three parts: State, Size and Owner
+// packed into one pageKind byte per frame, the Next link in a dense
+// array, and the rest in a pageLinks record. The Prev/Next links make the page a node of its free list;
 // keeping the node inside the metadata is what gives the allocator
 // constant-time removal when a scanned page is merged into a superpage
 // (§4.2).
@@ -125,11 +125,12 @@ func (k pageKind) state() PageState { return PageState(k & 3) }
 func (k pageKind) size() SizeClass  { return SizeClass(k >> kindSizeShift & 3) }
 func (k pageKind) owner() Owner     { return Owner(k >> kindOwnerShift) }
 
-// pageLinks is the part of a frame's metadata outside its pageKind.
+// pageLinks is the part of a frame's metadata outside its pageKind and
+// its Next link.
 type pageLinks struct {
-	RefCount   uint32
-	Head       int32
-	Prev, Next int32
+	RefCount uint32
+	Head     int32
+	Prev     int32
 }
 
 // SizeClass distinguishes the three allocation granularities.

@@ -87,6 +87,12 @@ func (b *pageBits) grow(nw int) {
 	b.words = words
 }
 
+// Clear empties the set, keeping its storage for reuse.
+func (s PageSet) Clear() {
+	clear(s.b.words)
+	s.b.n = 0
+}
+
 // Remove deletes p from the set.
 func (s PageSet) Remove(p hw.PhysAddr) {
 	f, ok := frameOf(p)
@@ -110,6 +116,22 @@ func (s PageSet) Contains(p hw.PhysAddr) bool {
 func (s PageSet) hasFrame(f uint64) bool {
 	w := s.words()
 	return f/64 < uint64(len(w)) && w[f/64]&(1<<(f%64)) != 0
+}
+
+// firstAbsent returns the lowest frame number in [lo, hi] that is not
+// in the set, or hi+1 if all of them are, reading one word per 64
+// frames.
+func (s PageSet) firstAbsent(lo, hi uint64) uint64 {
+	w := s.words()
+	for f := lo; f <= hi; f = (f/64 + 1) * 64 {
+		if f/64 >= uint64(len(w)) {
+			return f
+		}
+		if x := ^w[f/64] >> (f % 64); x != 0 {
+			return min(f+uint64(bits.TrailingZeros64(x)), hi+1)
+		}
+	}
+	return hi + 1
 }
 
 // words returns the bitset words (nil for the zero value).

@@ -38,7 +38,7 @@ func (t *PageTable) PruneEmpty() int {
 			child := hw.PhysAddr(e & hw.PteAddrMask)
 			if prune(child, level-1) && empty(child) {
 				t.write(slot, 0, false)
-				t.nodes.Remove(child)
+				t.dropNode(child)
 				if err := t.alloc.FreePage(child); err != nil {
 					panic(err)
 				}

@@ -3,6 +3,7 @@ package pt
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"atmosphere/internal/hw"
 	"atmosphere/internal/mem"
@@ -25,6 +26,32 @@ func entry(n *[hw.PageSize4K]byte, i int) uint64 {
 	return binary.LittleEndian.Uint64(n[i*hw.PtrSize:])
 }
 
+// nextPresent returns the index of the first present entry of a table
+// node at or after i, or EntriesPerTable if none is. A group of eight
+// all-zero entries (one 64-byte line, the common case in sparse tables)
+// is skipped with one test.
+func nextPresent(n *[hw.PageSize4K]byte, i int) int {
+	for i < hw.EntriesPerTable {
+		if i%8 == 0 && zero8(n, i) {
+			i += 8
+			continue
+		}
+		if entry(n, i)&hw.PtePresent != 0 {
+			return i
+		}
+		i++
+	}
+	return hw.EntriesPerTable
+}
+
+// zero8 reports whether entries i..i+7 of a table node are all zero.
+func zero8(n *[hw.PageSize4K]byte, i int) bool {
+	g := (*[8 * hw.PtrSize]byte)(n[i*hw.PtrSize:])
+	le := binary.LittleEndian
+	return le.Uint64(g[0:])|le.Uint64(g[8:])|le.Uint64(g[16:])|le.Uint64(g[24:])|
+		le.Uint64(g[32:])|le.Uint64(g[40:])|le.Uint64(g[48:])|le.Uint64(g[56:]) == 0
+}
+
 // walkLeaves streams every terminal mapping the concrete radix tree
 // encodes to fn, in ascending virtual-address order, reading each table
 // node through one PhysMem.Slice. The walk stops at fn's first error
@@ -33,17 +60,10 @@ func entry(n *[hw.PageSize4K]byte, i int) uint64 {
 func (t *PageTable) walkLeaves(fn func(va hw.VirtAddr, e MapEntry) error) error {
 	m := t.alloc.Mem()
 	l4 := nodeAt(m, t.cr3)
-	for i4 := 0; i4 < hw.EntriesPerTable; i4++ {
-		e4 := entry(l4, i4)
-		if e4&hw.PtePresent == 0 {
-			continue
-		}
-		l3 := nodeAt(m, hw.PhysAddr(e4&hw.PteAddrMask))
-		for i3 := 0; i3 < hw.EntriesPerTable; i3++ {
+	for i4 := nextPresent(l4, 0); i4 < hw.EntriesPerTable; i4 = nextPresent(l4, i4+1) {
+		l3 := nodeAt(m, hw.PhysAddr(entry(l4, i4)&hw.PteAddrMask))
+		for i3 := nextPresent(l3, 0); i3 < hw.EntriesPerTable; i3 = nextPresent(l3, i3+1) {
 			e3 := entry(l3, i3)
-			if e3&hw.PtePresent == 0 {
-				continue
-			}
 			if e3&hw.PteHuge != 0 {
 				if err := fn(hw.VAFromIndices(i4, i3, 0, 0), entryFromPte(e3, hw.Size1G)); err != nil {
 					return err
@@ -51,11 +71,8 @@ func (t *PageTable) walkLeaves(fn func(va hw.VirtAddr, e MapEntry) error) error 
 				continue
 			}
 			l2 := nodeAt(m, hw.PhysAddr(e3&hw.PteAddrMask))
-			for i2 := 0; i2 < hw.EntriesPerTable; i2++ {
+			for i2 := nextPresent(l2, 0); i2 < hw.EntriesPerTable; i2 = nextPresent(l2, i2+1) {
 				e2 := entry(l2, i2)
-				if e2&hw.PtePresent == 0 {
-					continue
-				}
 				if e2&hw.PteHuge != 0 {
 					if err := fn(hw.VAFromIndices(i4, i3, i2, 0), entryFromPte(e2, hw.Size2M)); err != nil {
 						return err
@@ -63,12 +80,8 @@ func (t *PageTable) walkLeaves(fn func(va hw.VirtAddr, e MapEntry) error) error 
 					continue
 				}
 				l1 := nodeAt(m, hw.PhysAddr(e2&hw.PteAddrMask))
-				for i1 := 0; i1 < hw.EntriesPerTable; i1++ {
-					e1 := entry(l1, i1)
-					if e1&hw.PtePresent == 0 {
-						continue
-					}
-					if err := fn(hw.VAFromIndices(i4, i3, i2, i1), entryFromPte(e1, hw.Size4K)); err != nil {
+				for i1 := nextPresent(l1, 0); i1 < hw.EntriesPerTable; i1 = nextPresent(l1, i1+1) {
+					if err := fn(hw.VAFromIndices(i4, i3, i2, i1), entryFromPte(entry(l1, i1), hw.Size4K)); err != nil {
 						return err
 					}
 				}
@@ -162,54 +175,62 @@ func (t *PageTable) CheckRefinement(mmu *hw.MMU) error {
 // every node page is allocated to the page-table subsystem, and no node
 // is reachable twice (acyclicity / no sharing).
 func (t *PageTable) CheckStructure() error {
-	m := t.alloc.Mem()
-	seen := mem.NewPageSet(t.cr3)
-	visit := func(table hw.PhysAddr) error {
-		if !t.nodes.Contains(table) {
-			return fmt.Errorf("pt: reachable node %#x not in flat node set", table)
-		}
-		meta, err := t.alloc.Meta(table)
-		if err != nil {
-			return err
-		}
-		if meta.State != mem.StateAllocated || meta.Owner != t.owner {
-			return fmt.Errorf("pt: node %#x is %v/%v, want allocated/%v", table, meta.State, meta.Owner, t.owner)
-		}
-		return nil
-	}
-	if err := visit(t.cr3); err != nil {
+	seen := seenPool.Get().(mem.PageSet)
+	defer seenPool.Put(seen)
+	seen.Clear()
+	seen.Insert(t.cr3)
+	if err := t.checkNode(t.cr3); err != nil {
 		return err
 	}
-	var walk func(table hw.PhysAddr, level int) error
-	walk = func(table hw.PhysAddr, level int) error {
-		node := nodeAt(m, table)
-		for i := 0; i < hw.EntriesPerTable; i++ {
-			e := entry(node, i)
-			if e&hw.PtePresent == 0 {
-				continue
-			}
-			if level == 1 || e&hw.PteHuge != 0 {
-				continue // terminal mapping, not a node
-			}
-			next := hw.PhysAddr(e & hw.PteAddrMask)
-			if seen.Contains(next) {
-				return fmt.Errorf("pt: node %#x reachable twice", next)
-			}
-			seen.Insert(next)
-			if err := visit(next); err != nil {
-				return err
-			}
-			if err := walk(next, level-1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.cr3, 4); err != nil {
+	if err := t.checkBelow(seen, t.cr3, 4); err != nil {
 		return err
 	}
 	if !seen.Equal(t.nodes) {
 		return fmt.Errorf("pt: flat node set has %d pages, %d reachable", t.nodes.Len(), seen.Len())
+	}
+	return nil
+}
+
+// seenPool holds CheckStructure's reachable-node sets for reuse; checks
+// of different kernels may run concurrently.
+var seenPool = sync.Pool{New: func() any { return mem.NewPageSet() }}
+
+// checkNode checks that table is in the flat node set and allocated to
+// the table's owner.
+func (t *PageTable) checkNode(table hw.PhysAddr) error {
+	if !t.nodes.Contains(table) {
+		return fmt.Errorf("pt: reachable node %#x not in flat node set", table)
+	}
+	meta, err := t.alloc.Meta(table)
+	if err != nil {
+		return err
+	}
+	if meta.State != mem.StateAllocated || meta.Owner != t.owner {
+		return fmt.Errorf("pt: node %#x is %v/%v, want allocated/%v", table, meta.State, meta.Owner, t.owner)
+	}
+	return nil
+}
+
+// checkBelow visits, depth first in entry order, every node reachable
+// from table (at the given level, 4 = PML4), adding each to seen.
+func (t *PageTable) checkBelow(seen mem.PageSet, table hw.PhysAddr, level int) error {
+	node := nodeAt(t.alloc.Mem(), table)
+	for i := nextPresent(node, 0); i < hw.EntriesPerTable; i = nextPresent(node, i+1) {
+		e := entry(node, i)
+		if level == 1 || e&hw.PteHuge != 0 {
+			continue // terminal mapping, not a node
+		}
+		next := hw.PhysAddr(e & hw.PteAddrMask)
+		if seen.Contains(next) {
+			return fmt.Errorf("pt: node %#x reachable twice", next)
+		}
+		seen.Insert(next)
+		if err := t.checkNode(next); err != nil {
+			return err
+		}
+		if err := t.checkBelow(seen, next, level-1); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -10,7 +10,10 @@ import (
 
 // BenchmarkAbstract measures Ψ = Abstract on mck's default machine
 // (8192 frames, 4 cores) holding 64 mapped pages and four child
-// processes.
+// processes. Nothing changes between iterations, so it measures the
+// memo-hit path: the object views are copied, while the allocator
+// snapshot and the address spaces come from their memos
+// (verify.BenchmarkCheckedTransition measures the rebuild path).
 func BenchmarkAbstract(b *testing.B) {
 	k, init, err := kernel.Boot(hw.Config{Frames: 8192, Cores: 4, TLBSlots: 256})
 	if err != nil {

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"maps"
 	"testing"
 
 	"atmosphere/internal/hw"
@@ -118,7 +119,8 @@ func TestMunmapSpecFrameCondition(t *testing.T) {
 	// A post-state where a surviving mapping changed is rejected.
 	proc := k.PM.Thrd(init).OwningProc
 	tampered := abs(k)
-	space := tampered.AddressSpaces[proc]
+	space := maps.Clone(tampered.AddressSpaces[proc]) // Ψ's spaces are shared
+	tampered.AddressSpaces[proc] = space
 	e := space[0x402000]
 	e.Phys += hw.PageSize4K
 	space[0x402000] = e
@@ -250,6 +252,7 @@ func TestIommuSpecs(t *testing.T) {
 	// Tampered: domain map pre-populated.
 	tampered := abs(k)
 	dom := tampered.Procs[k.PM.Thrd(init).OwningProc].IOMMUDomain
+	tampered.DMASpaces[dom] = maps.Clone(tampered.DMASpaces[dom]) // Ψ's spaces are shared
 	tampered.DMASpaces[dom][0x1000] = pt.MapEntry{Phys: 0x2000}
 	if err := IommuCreateSpec(old, tampered, init, ret); err == nil {
 		t.Fatal("pre-populated domain accepted")
@@ -266,6 +269,7 @@ func TestIommuSpecs(t *testing.T) {
 	}
 	// Tampered: DMA mapping points at the wrong frame.
 	tampered = abs(k)
+	tampered.DMASpaces[dom] = maps.Clone(tampered.DMASpaces[dom])
 	e := tampered.DMASpaces[dom][0x70000]
 	e.Phys += hw.PageSize4K
 	tampered.DMASpaces[dom][0x70000] = e

@@ -81,6 +81,15 @@ type Endpoint struct {
 }
 
 // State is the abstract kernel state Ψ.
+//
+// The AddressSpaces and DMASpaces values and the Mem sets are shared
+// with the kernel's memos (pt.PageTable.AddressSpace,
+// mem.Allocator.Snapshot) and with every other State abstracted while
+// the same generation stood: they are read-only. A later kernel write
+// builds new ones, so a retained State stays a true snapshot. A caller
+// that wants to edit one, such as a test tampering with Ψ', must copy it
+// first (maps.Clone, PageSet.Clone). The object maps and their values
+// are fresh per State and may be edited.
 type State struct {
 	RootContainer Ptr
 	Containers    map[Ptr]Container
@@ -101,8 +110,9 @@ type State struct {
 }
 
 // Abstract is the abstraction function: it builds Ψ from the concrete
-// kernel components. It performs deep copies so a retained State is a
-// true snapshot.
+// kernel components. The object views are deep copies; the address
+// spaces and the allocator snapshot are the components' memoized,
+// read-only values (see State), so a retained State is a true snapshot.
 func Abstract(p *pm.ProcessManager, alloc *mem.Allocator, iom *iommu.IOMMU) State {
 	st := State{
 		RootContainer: p.RootContainer,

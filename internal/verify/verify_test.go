@@ -20,7 +20,24 @@ func newChecker(t *testing.T) (*Checker, pm.Ptr) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	auditMemos(t, c.K)
 	return c, init
+}
+
+// auditMemos runs a MemoAudit after every syscall of k for the rest of
+// the test: each memo must equal a fresh rebuild, and no published
+// address space may be written.
+func auditMemos(t *testing.T, k *kernel.Kernel) {
+	var a MemoAudit
+	prev := k.PostSyscall
+	k.PostSyscall = func(name string, caller pm.Ptr, ret kernel.Ret) {
+		if prev != nil {
+			prev(name, caller, ret)
+		}
+		if err := a.Step(k); err != nil {
+			t.Errorf("memo audit after %s: %v", name, err)
+		}
+	}
 }
 
 // musts returns a closure that fails the test on checker errors or
@@ -632,5 +649,30 @@ func TestMutationStaleObjectSlotCaught(t *testing.T) {
 	}
 	if got[0] != got[1] {
 		t.Fatalf("runs disagree: %q vs %q", got[0], got[1])
+	}
+}
+
+// TestMemoAuditCatchesPublishedWrite: a caller that writes an address
+// space map after the memo published it — even one a later mapping
+// change has already superseded — fails the audit.
+func TestMemoAuditCatchesPublishedWrite(t *testing.T) {
+	c, init, err := NewChecker(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a MemoAudit
+	musts(t)(c.Mmap(0, init, 0x400000, 2, hw.Size4K, pt.RW))
+	if err := a.Step(c.K); err != nil {
+		t.Fatal(err)
+	}
+	table := c.K.PM.Proc(c.K.PM.Thrd(init).OwningProc).PageTable
+	old := table.AddressSpace()
+	musts(t)(c.Munmap(0, init, 0x400000, 1, hw.Size4K))
+	if err := a.Step(c.K); err != nil {
+		t.Fatal(err)
+	}
+	delete(old, 0x401000) // the superseded map, written
+	if err := a.Step(c.K); err == nil {
+		t.Fatal("write to a published address space went unnoticed")
 	}
 }
