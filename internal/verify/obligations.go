@@ -527,7 +527,10 @@ func AblationObligations() (flat, recursive []Obligation) {
 		return k, k.PM.Proc(k.PM.Thrd(init).OwningProc).PageTable, nil
 	}
 	// Fixtures are built eagerly, before any obligation is timed, and
-	// shared read-only between the flat and recursive variants.
+	// shared between the flat and recursive variants. The checks write
+	// only the fixtures' memos (PageTable.AddressSpace), so the variants
+	// must not run concurrently: callers run each variant list with one
+	// worker.
 	treeK, buildErr := mkTree()
 	var ptK *kernel.Kernel
 	var ptTable *pt.PageTable
